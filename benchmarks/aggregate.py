@@ -7,7 +7,8 @@ headline numbers (speedups, throughputs, study descriptions) plus every
 bit-identity gate found anywhere in the reports, with a global
 ``all_gates_pass`` verdict.  CI runs it after the per-kernel smokes so
 the artifact bundle always carries one machine-readable summary of the
-performance story; it exits non-zero if any recorded gate is false.
+performance story; it exits non-zero if any recorded gate is false or
+a gate listed in ``REQUIRED_GATES`` is missing from its report.
 
 Run: ``PYTHONPATH=src python benchmarks/aggregate.py`` (add ``--check``
 to only verify gates without rewriting the summary).
@@ -38,6 +39,12 @@ HEADLINE_KEYS = (
     "verification_overhead",
     "observability_overhead",
 )
+
+
+#: gates a report must carry; one missing from its report counts as false
+REQUIRED_GATES = {
+    "tuning_kernel": ("split_kernel.split_kernel_bit_identical",),
+}
 
 
 def _collect_gates(node, prefix: str, gates: dict) -> None:
@@ -72,6 +79,8 @@ def summarize(report_paths) -> dict:
         benchmarks[name] = entry
         report_gates: dict[str, bool] = {}
         _collect_gates(report, "", report_gates)
+        for gate in REQUIRED_GATES.get(name, ()):
+            report_gates.setdefault(gate, False)
         if report_gates:
             gates[name] = report_gates
     collected = [

@@ -19,6 +19,12 @@ together they are the "candidates+1 x folds full fits" redundancy the
 kernel exists to remove.  Everything lands in
 ``BENCH_tuning_kernel.json`` at the repository root.
 
+A third gate, ``split_kernel_bit_identical``, covers the tree split
+search on its own: decision_tree, random_forest, adaboost and xgboost
+are fitted on the encoded wide Airbnb matrix through the column-plan
+split kernel and under ``kernel_disabled()`` (the per-feature
+reference loop), and their ``predict_proba`` bytes must match.
+
 Run directly (``python benchmarks/bench_tuning_kernel.py``) or under
 pytest; ``--tiny`` shrinks splits/rows/search for the CI smoke, which
 fails the step if any bit-identity gate ever goes false.
@@ -39,6 +45,9 @@ from repro.ml import RandomSearch, make_model, search_space
 from repro.table import FeatureEncoder, LabelEncoder
 
 SEARCH_MODELS = ("knn", "naive_bayes", "decision_tree")
+
+#: the tree learners whose split search the column-plan kernel serves
+SPLIT_MODELS = ("decision_tree", "random_forest", "adaboost", "xgboost")
 
 KERNEL_CONFIG = StudyConfig(
     n_splits=3,
@@ -77,13 +86,11 @@ def build_study(config: StudyConfig, n_rows: int = N_ROWS) -> CleanMLStudy:
     return study
 
 
-def time_tuning(config: StudyConfig, n_rows: int, repeats: int = 3) -> dict:
-    """Micro-benchmark: ``RandomSearch.fit`` per model, both paths.
+def encoded_airbnb(n_rows: int):
+    """(X, y) of the study dataset's dirty table under the study encoders.
 
-    Uses the study's own encoders on the study dataset's dirty table, so
-    the matrix shape (wide one-hot vocabulary included) is exactly what
-    the study's tuning loop sees.  Asserts fold-major and
-    candidate-major searches agree on ``best_params_``/``best_score_``.
+    The matrix shape (wide one-hot vocabulary included) is exactly what
+    the study's tuning loop and tree fits see.
     """
     dataset = load_dataset("Airbnb", seed=0, n_rows=n_rows)
     table = dataset.dirty
@@ -91,6 +98,48 @@ def time_tuning(config: StudyConfig, n_rows: int, repeats: int = 3) -> dict:
     y = LabelEncoder().fit(
         table.column(table.schema.label).unique()
     ).transform(table.labels)
+    return X, y
+
+
+def split_kernel_identity(n_rows: int) -> dict:
+    """Tree fits through the split kernel vs the reference loop.
+
+    Each model is fitted once per path on the encoded Airbnb matrix; the
+    gate is byte equality of the fitted models' ``predict_proba``.
+    The fit seconds are single runs, recorded for context only.
+    """
+    X, y = encoded_airbnb(n_rows)
+    per_model: dict[str, dict] = {}
+    for name in SPLIT_MODELS:
+        start = time.perf_counter()
+        kernel = make_model(name, seed=3).fit(X, y).predict_proba(X)
+        kernel_seconds = time.perf_counter() - start
+        with kernel_disabled():
+            start = time.perf_counter()
+            reference = make_model(name, seed=3).fit(X, y).predict_proba(X)
+            reference_seconds = time.perf_counter() - start
+        per_model[name] = {
+            "reference_seconds": round(reference_seconds, 4),
+            "kernel_seconds": round(kernel_seconds, 4),
+            "proba_identical": kernel.tobytes() == reference.tobytes(),
+        }
+    return {
+        "matrix": f"{X.shape[0]}x{X.shape[1]} encoded (Airbnb dirty)",
+        "per_model": per_model,
+        "split_kernel_bit_identical": all(
+            entry["proba_identical"] for entry in per_model.values()
+        ),
+    }
+
+
+def time_tuning(config: StudyConfig, n_rows: int, repeats: int = 3) -> dict:
+    """Micro-benchmark: ``RandomSearch.fit`` per model, both paths.
+
+    Uses the study's own encoders on the study dataset's dirty table.
+    Asserts fold-major and candidate-major searches agree on
+    ``best_params_``/``best_score_``.
+    """
+    X, y = encoded_airbnb(n_rows)
 
     def build_search(name: str, fold_major: bool) -> RandomSearch:
         return RandomSearch(
@@ -192,6 +241,7 @@ def run_tuning_bench(tiny: bool = False) -> dict:
             "kernel": round(n_tasks / kernel_seconds, 2),
         },
         "tuning_search": time_tuning(config, n_rows, repeats=max(repeats, 2)),
+        "split_kernel": split_kernel_identity(n_rows),
         "results_bit_identical": bool(
             naive.raw_experiments == kernel.raw_experiments
         ),
@@ -228,6 +278,9 @@ def publish_report(report: dict) -> None:
                 f"  tuning path: {tuning['speedup']:.2f}x on "
                 f"{tuning['matrix']} ({per_model}; "
                 f"bit-identical: {tuning['tuning_bit_identical']})",
+                f"  split kernel on {report['split_kernel']['matrix']} "
+                f"({'+'.join(SPLIT_MODELS)}; bit-identical: "
+                f"{report['split_kernel']['split_kernel_bit_identical']})",
                 f"[written to {OUTPUT_PATH}]",
             ]
         )
@@ -247,6 +300,9 @@ def check_report(report: dict) -> None:
     )
     assert report["tuning_search"]["tuning_bit_identical"], (
         "fold-major RandomSearch diverged from the candidate-major search"
+    )
+    assert report["split_kernel"]["split_kernel_bit_identical"], (
+        "tree split kernel diverged from the reference split search"
     )
 
 

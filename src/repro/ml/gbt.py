@@ -17,7 +17,13 @@ from __future__ import annotations
 import numpy as np
 
 from .base import Classifier, check_fit_inputs, one_hot, softmax
-from .tree import _SPLIT_BLOCK_ELEMENTS, DecisionTreeClassifier, RootSortWorkspace
+from .tree import (
+    _SPLIT_BLOCK_ELEMENTS,
+    DecisionTreeClassifier,
+    RootSortWorkspace,
+    _best_positions,
+    _ColumnPlan,
+)
 
 _EPS = 1e-12
 
@@ -54,6 +60,7 @@ class _GradientTree:
         grad: np.ndarray,
         hess: np.ndarray,
         root_sort_cache: dict | None = None,
+        column_plan: _ColumnPlan | None = None,
     ) -> "_GradientTree":
         """Grow the tree; ``root_sort_cache`` shares root argsorts.
 
@@ -61,11 +68,15 @@ class _GradientTree:
         never on the (gradient, hessian) targets — so fits on the same
         matrix (boosting rounds, classes, search candidates) may pass
         one shared ``feature -> order`` dict, filled lazily.  Cached
-        orders equal the argsorts the root would recompute.
+        orders equal the argsorts the root would recompute.  The
+        ``column_plan`` of ``X`` (built here when omitted) is
+        target-free too: fits sharing one also share its root block.
         """
         self._root_sort_cache = root_sort_cache
+        self._plan = _ColumnPlan(X) if column_plan is None else column_plan
         self._root = self._build(X, grad, hess, depth=0)
         self._root_sort_cache = None
+        self._plan = None
         return self
 
     def _leaf_value(self, grad_sum: float, hess_sum: float) -> float:
@@ -120,7 +131,7 @@ class _GradientTree:
         """
         if self.vectorized_split:
             return self._best_split_vectorized(
-                X, grad, hess, grad_sum, hess_sum, sort_cache
+                X, grad, hess, grad_sum, hess_sum, sort_cache, self._plan
             )
         return self._best_split_reference(
             X, grad, hess, grad_sum, hess_sum, sort_cache
@@ -181,85 +192,83 @@ class _GradientTree:
         grad_sum: float,
         hess_sum: float,
         sort_cache: dict | None = None,
+        plan: _ColumnPlan | None = None,
     ) -> tuple[int, float] | None:
-        """One broadcast pass over every candidate feature at once.
+        """Score every feature at once, split by column kind.
 
-        The same transformation the CART builder's
-        ``_best_split_vectorized`` applies: the reference loop pays a
-        handful of small numpy calls per feature per node, and on the
-        wide one-hot matrices the study encodes that Python overhead —
-        not the sorting — dominates tree building.  Every arithmetic
-        step applies the reference's elementwise gain formula per
-        column, the cumulative (gradient, hessian) sums stay sequential
-        per lane, positions are scanned ascending within a feature and
-        features ascending across the matrix, so the chosen split is
-        bit-identical to :meth:`_best_split_reference` — pinned per node
-        by ``tests/test_tuning_kernel.py``.
+        The same column-plan kernel as the CART builder's
+        ``_best_split_vectorized``, on stacked (gradient, hessian) sums
+        in place of class sums: two-valued columns take their single
+        boundary's left sums from the last row of a masked sequential
+        cumsum, with no sort; other columns are sorted and scored at
+        every position.  Every step applies the reference's elementwise
+        gain formula, cumulative sums stay sequential per lane, and
+        positions and features are scanned in the reference's order, so
+        the chosen split is bit-identical to
+        :meth:`_best_split_reference`; ``tests/test_tuning_kernel.py``
+        pins it per node.
 
         Features are processed in chunks sized to keep the
         ``(rows, features)`` temporaries near the shared block budget;
-        per-feature best gains are chunk-independent, so the final
-        cross-feature scan is unchanged.
+        per-feature best gains are chunk-independent.  ``plan`` is
+        built from ``X`` when the caller does not pass one.
         """
         n_samples, n_features = X.shape
+        if plan is None:
+            plan = _ColumnPlan(X)
         parent_score = grad_sum**2 / (hess_sum + self.reg_lambda + _EPS)
+        sums = np.array([grad_sum, hess_sum])
+        stats = np.stack((grad, hess), axis=1)
 
         # ~6 (rows, features) float64 temporaries live at once (sorted
-        # values, two cumsums, two child sums, gains)
+        # values, stacked cumsum, child sums, gains)
         chunk = max(1, _SPLIT_BLOCK_ELEMENTS // max(6 * n_samples, 1))
         best_gain = np.full(n_features, -np.inf)
         best_threshold = np.zeros(n_features)
-        for start in range(0, n_features, chunk):
-            selected = np.arange(start, min(start + chunk, n_features))
-            if sort_cache is not None:
-                orders = np.empty((n_samples, len(selected)), dtype=np.intp)
-                for column, feature in enumerate(selected):
-                    orders[:, column] = DecisionTreeClassifier._feature_order(
-                        X, feature, sort_cache
-                    )
-                columns = X[:, selected]
-            else:
-                columns = X[:, selected]
-                orders = np.argsort(columns, axis=0, kind="stable")
-            sorted_x = np.take_along_axis(columns, orders, axis=0)
-            cum_grad = np.cumsum(grad[orders], axis=0)
-            cum_hess = np.cumsum(hess[orders], axis=0)
+        for start in range(0, len(plan.binary), chunk):
+            features = plan.binary[start : start + chunk]
+            is_lo = X[:, features] == plan.lo[features]
+            n_lo = np.count_nonzero(is_lo, axis=0)
+            keep = (n_lo > 0) & (n_lo < n_samples)
+            features, is_lo = features[keep], is_lo[:, keep]
+            left = np.cumsum(is_lo[:, :, None] * stats[:, None, :], axis=0)[-1]
+            best_gain[features] = self._gains(left, sums, parent_score)
+            best_threshold[features] = plan.threshold[features]
 
-            # a split between positions i and i+1 requires a value
-            # change and min_child_weight hessian mass on both sides
-            valid = sorted_x[1:] > sorted_x[:-1] + _EPS
-            left_grad = cum_grad[:-1]
-            left_hess = cum_hess[:-1]
-            right_grad = grad_sum - left_grad
-            right_hess = hess_sum - left_hess
-            valid &= (left_hess >= self.min_child_weight) & (
-                right_hess >= self.min_child_weight
+        for start in range(0, len(plan.dense), chunk):
+            features = plan.dense[start : start + chunk]
+            orders, sorted_x, valid = plan.sorted_block(X, features, sort_cache)
+            gains = self._gains(
+                np.cumsum(stats[orders], axis=0)[:-1], sums, parent_score
             )
-            if not np.any(valid):
-                continue
-
-            # the denominators repeat the reference's left-to-right adds
-            # (float addition is non-associative; pre-summing the
-            # regularizer would shift bits)
-            gains = 0.5 * (
-                left_grad**2 / (left_hess + self.reg_lambda + _EPS)
-                + right_grad**2 / (right_hess + self.reg_lambda + _EPS)
-                - parent_score
-            ) - self.gamma
             gains[~valid] = -np.inf
-
-            per_feature = gains.max(axis=0)
-            splits_at = np.argmax(gains, axis=0) + 1
-            best_gain[selected] = per_feature
-            best_threshold[selected] = 0.5 * (
-                np.take_along_axis(sorted_x, (splits_at - 1)[None, :], 0)[0]
-                + np.take_along_axis(sorted_x, splits_at[None, :], 0)[0]
+            best_gain[features], best_threshold[features] = _best_positions(
+                gains, sorted_x
             )
 
         feature = int(np.argmax(best_gain))
         if not best_gain[feature] > _EPS:
             return None
         return (feature, float(best_threshold[feature]))
+
+    def _gains(
+        self, left: np.ndarray, sums: np.ndarray, parent_score: float
+    ) -> np.ndarray:
+        """Regularized gain of splitting ``sums`` into ``left`` and the rest.
+
+        ``left`` is any ``(..., 2)`` block of left-child (gradient,
+        hessian) sums; a split needs ``min_child_weight`` hessian mass
+        on both sides, or its gain is ``-inf``.
+        """
+        sides = np.stack((left, sums - left))
+        grad, hess = sides[..., 0], sides[..., 1]
+        # the denominators repeat the reference's left-to-right adds
+        # (float addition is non-associative; pre-summing the
+        # regularizer would shift bits)
+        score = grad**2 / (hess + self.reg_lambda + _EPS)
+        gains = 0.5 * (score[0] + score[1] - parent_score) - self.gamma
+        gains[~(hess >= self.min_child_weight).all(axis=0)] = -np.inf
+        return gains
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         out = np.empty(len(X))
@@ -324,7 +333,9 @@ class XGBoostClassifier(Classifier):
         its tree on the *same* matrix, so the trees share a root
         argsort cache — internally across rounds x classes, and across
         search candidates when the tuning kernel passes
-        ``root_sort_cache`` in.  The former ``X[rows]`` /
+        ``root_sort_cache`` in — and one column plan, whose root block
+        (the dense columns' orders, sorted values and value-change mask)
+        every tree's root reuses.  The former ``X[rows]`` /
         ``grad_all[rows, cls]`` fancy indexing with ``rows ==
         arange(n)`` copied the matrix and gradients every round for
         nothing; fitting the originals is value-identical.  Subsampled
@@ -341,8 +352,10 @@ class XGBoostClassifier(Classifier):
         self.trees_: list[list[_GradientTree]] = []
         full_sample = self.subsample >= 1.0
         sort_cache: dict | None = None
+        plan: _ColumnPlan | None = None
         if full_sample:
             sort_cache = {} if root_sort_cache is None else root_sort_cache
+            plan = _ColumnPlan(X)
 
         for _ in range(self.n_estimators):
             proba = softmax(scores)
@@ -369,6 +382,7 @@ class XGBoostClassifier(Classifier):
                         grad_all[:, cls],
                         hess_all[:, cls],
                         root_sort_cache=sort_cache,
+                        column_plan=plan,
                     )
                 else:
                     tree.fit(X[rows], grad_all[rows, cls], hess_all[rows, cls])

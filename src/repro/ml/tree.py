@@ -1,10 +1,12 @@
 """CART decision tree with weighted Gini impurity.
 
-The split search is vectorized: for each candidate feature the rows are
-sorted once and every threshold is scored in a single cumulative-sum pass
-over the weighted one-hot label matrix.  Sample weights make the same
-builder serve AdaBoost; a ``max_features`` knob makes it serve the random
-forest.
+The split search is vectorized and driven by a per-fit column plan
+(:class:`_ColumnPlan`): a column holding only its training minimum and
+maximum has exactly one candidate threshold and is scored without a
+sort, from one masked sequential sum of the weighted one-hot labels;
+every other column is sorted and scored at every threshold in a single
+cumulative-sum pass.  Sample weights make the same builder serve
+AdaBoost; a ``max_features`` knob makes it serve the random forest.
 
 The root split's per-feature ``argsort`` depends only on the training
 matrix — never on depth/leaf hyper-parameters or sample weights — so
@@ -113,11 +115,13 @@ class DecisionTreeClassifier(Classifier):
                 raise ValueError("sample weights must be non-negative")
         self._rng = np.random.default_rng(self.random_state)
         self._root_sort_cache = root_sort_cache
+        self._plan = _ColumnPlan(X)
         weighted_labels = sample_weight[:, None] * one_hot(y, n_classes)
         self._root = self._build(X, weighted_labels, depth=0)
-        # the cache is only valid for this fit's training matrix; do not
-        # let it outlive the call through the fitted model
+        # the cache and plan are only valid for this fit's training
+        # matrix; do not let them outlive the call through the fitted model
         self._root_sort_cache = None
+        self._plan = None
         return self
 
     def _build(self, X: np.ndarray, wy: np.ndarray, depth: int) -> _Node:
@@ -127,16 +131,21 @@ class DecisionTreeClassifier(Classifier):
         node = _Node(proba)
 
         n_samples = len(X)
+        impurity = _gini(counts)
         if (
             (self.max_depth is not None and depth >= self.max_depth)
             or n_samples < self.min_samples_split
             or n_samples < 2 * self.min_samples_leaf
-            or _gini(counts) <= _EPS
+            or impurity <= _EPS
         ):
             return node
 
         split = self._best_split(
-            X, wy, sort_cache=self._root_sort_cache if depth == 0 else None
+            X,
+            wy,
+            sort_cache=self._root_sort_cache if depth == 0 else None,
+            counts=counts,
+            impurity=impurity,
         )
         if split is None:
             return node
@@ -155,7 +164,12 @@ class DecisionTreeClassifier(Classifier):
     vectorized_split = True
 
     def _best_split(
-        self, X: np.ndarray, wy: np.ndarray, sort_cache: dict | None = None
+        self,
+        X: np.ndarray,
+        wy: np.ndarray,
+        sort_cache: dict | None,
+        counts: np.ndarray,
+        impurity: float,
     ) -> tuple[int, float] | None:
         """Best (feature, threshold) by weighted Gini gain, or ``None``.
 
@@ -165,7 +179,9 @@ class DecisionTreeClassifier(Classifier):
         discipline as the encoder's ``_transform_reference``).
         """
         if self.vectorized_split:
-            return self._best_split_vectorized(X, wy, sort_cache)
+            return self._best_split_vectorized(
+                X, wy, sort_cache, counts, impurity, self._plan
+            )
         return self._best_split_reference(X, wy, sort_cache)
 
     def _best_split_reference(
@@ -214,84 +230,93 @@ class DecisionTreeClassifier(Classifier):
         return best
 
     def _best_split_vectorized(
-        self, X: np.ndarray, wy: np.ndarray, sort_cache: dict | None = None
+        self,
+        X: np.ndarray,
+        wy: np.ndarray,
+        sort_cache: dict | None = None,
+        counts: np.ndarray | None = None,
+        impurity: float | None = None,
+        plan: "_ColumnPlan | None" = None,
     ) -> tuple[int, float] | None:
-        """One broadcast pass over every candidate feature at once.
+        """Score every candidate feature at once, split by column kind.
 
         The reference loop pays ~8 small numpy calls per feature per
-        node — on wide one-hot matrices that Python overhead, not the
-        sorting, dominates tree building.  This path evaluates
-        candidate columns together on an ``(n_samples - 1, features)``
-        gain matrix; every arithmetic step applies the reference's
-        elementwise formula per column, cumsums stay sequential per
-        lane, and the (first-maximum) ``argmax`` selection reproduces
-        the reference's "strictly greater beats earlier feature" scan —
-        so the chosen split is bit-identical, which
-        ``tests/test_tuning_kernel.py`` pins against the reference on
-        every node of real and adversarial trees.
+        node; on wide one-hot matrices that Python overhead, not the
+        sorting, dominates tree building.  This path scores candidate
+        columns together, in two groups given by the fit's
+        :class:`_ColumnPlan` (columns that can never split are skipped):
 
-        The broadcast block is ``O(rows x features x classes)``, so
-        features are processed in chunks sized to keep the temporaries
-        near :data:`_SPLIT_BLOCK_ELEMENTS`; per-feature best gains are
-        chunk-independent, so the final cross-feature scan is
-        unchanged.
+        * **Two-valued** columns (only the training ``lo``/``hi``) have
+          one candidate boundary, so there is no sort.  Columns constant
+          in this node, or whose ``lo`` count breaks
+          ``min_samples_leaf``, are dropped first.  Under the
+          reference's stable argsort the ``lo`` rows come first in index
+          order, so its cumsum at the boundary is the sequential sum of
+          ``wy`` over those rows: the last row of a cumsum over ``wy``
+          masked to them, since adding exact zeros changes nothing.
+          (A matmul, or a pairwise ``np.add.reduce`` along contiguous
+          rows, adds in another order and would not be exact.)  The
+          threshold is ``(lo + hi) / 2``, the reference's midpoint of
+          the two sorted values.
+        * **Other** columns are sorted and scored at every position on
+          an ``(n_samples - 1, features)`` gain block; cumsums stay
+          sequential per lane, and the first-maximum ``argmax`` is the
+          reference's ascending scan.
+
+        Every gain applies the reference's elementwise formula, and the
+        first-maximum ``argmax`` over candidates reproduces its
+        "strictly greater beats earlier feature" scan, so the chosen
+        split is bit-identical; ``tests/test_tuning_kernel.py`` pins it
+        on every node of real and adversarial trees.  Blocks are
+        processed in feature chunks sized to keep the temporaries near
+        :data:`_SPLIT_BLOCK_ELEMENTS`; per-feature gains are
+        chunk-independent.
+
+        ``counts``/``impurity`` (the node's class sums and Gini) and
+        ``plan`` are computed here when the caller does not pass them.
         """
         n_samples, n_features = X.shape
         candidates = self._candidate_features(n_features)
-
-        counts = wy.sum(axis=0)
+        if counts is None:
+            counts = wy.sum(axis=0)
+        if impurity is None:
+            impurity = _gini(counts)
+        if plan is None:
+            plan = _ColumnPlan(X)
         total_weight = counts.sum()
-        parent_impurity = _gini(counts)
 
-        leaf = self.min_samples_leaf
-        position = np.arange(1, n_samples)
-        bounds_ok = (position >= leaf) & (position <= n_samples - leaf)
+        best_gain = np.full(len(candidates), -np.inf)
+        best_threshold = np.zeros(len(candidates))
+        binary_at, dense_at = plan.kinds(candidates)
+        chunk = max(1, _SPLIT_BLOCK_ELEMENTS // max(n_samples * wy.shape[1], 1))
 
-        n_candidates = len(candidates)
-        chunk = max(
-            1, _SPLIT_BLOCK_ELEMENTS // max(n_samples * wy.shape[1], 1)
-        )
-        best_gain = np.full(n_candidates, -np.inf)
-        best_threshold = np.zeros(n_candidates)
-        for start in range(0, n_candidates, chunk):
-            selected = candidates[start : start + chunk]
-            if sort_cache is not None:
-                orders = np.empty((n_samples, len(selected)), dtype=np.intp)
-                for column, feature in enumerate(selected):
-                    orders[:, column] = self._feature_order(X, feature, sort_cache)
-                columns = X[:, selected]
-            else:
-                columns = X[:, selected]
-                orders = np.argsort(columns, axis=0, kind="stable")
-            sorted_x = np.take_along_axis(columns, orders, axis=0)
-            cum_wy = np.cumsum(wy[orders], axis=0)  # (rows, features, classes)
+        leaf = max(self.min_samples_leaf, 1)
+        for start in range(0, len(binary_at), chunk):
+            at = binary_at[start : start + chunk]
+            features = candidates[at]
+            is_lo = X[:, features] == plan.lo[features]
+            n_lo = np.count_nonzero(is_lo, axis=0)
+            keep = (n_lo >= leaf) & (n_lo <= n_samples - leaf)
+            at, features, is_lo = at[keep], features[keep], is_lo[:, keep]
+            left = np.cumsum(is_lo[:, :, None] * wy[:, None, :], axis=0)[-1]
+            best_gain[at] = _gini_gains(left, counts, impurity, total_weight)
+            best_threshold[at] = plan.threshold[features]
 
-            # a split between positions i and i+1 requires a value
-            # change and min_samples_leaf rows on both sides
-            valid = sorted_x[1:] > sorted_x[:-1] + _EPS
-            valid &= bounds_ok[:, None]
-            if not np.any(valid):
-                continue
-
-            left_counts = cum_wy[:-1]
-            right_counts = counts[None, None, :] - left_counts
-            left_weight = left_counts.sum(axis=2)
-            right_weight = right_counts.sum(axis=2)
-            left_gini = _gini_planes(left_counts, left_weight)
-            right_gini = _gini_planes(right_counts, right_weight)
-            weighted = (left_weight * left_gini + right_weight * right_gini) / max(
-                total_weight, _EPS
+        if len(dense_at):
+            position = np.arange(1, n_samples)
+            bounds_ok = (position >= self.min_samples_leaf) & (
+                position <= n_samples - self.min_samples_leaf
             )
-            gains = parent_impurity - weighted
-            gains[~valid] = -np.inf
-
-            per_feature = gains.max(axis=0)
-            splits_at = np.argmax(gains, axis=0) + 1
-            best_gain[start : start + len(selected)] = per_feature
-            best_threshold[start : start + len(selected)] = 0.5 * (
-                np.take_along_axis(sorted_x, (splits_at - 1)[None, :], 0)[0]
-                + np.take_along_axis(sorted_x, splits_at[None, :], 0)[0]
+        for start in range(0, len(dense_at), chunk):
+            at = dense_at[start : start + chunk]
+            orders, sorted_x, valid = plan.sorted_block(
+                X, candidates[at], sort_cache
             )
+            gains = _gini_gains(
+                np.cumsum(wy[orders], axis=0)[:-1], counts, impurity, total_weight
+            )
+            gains[~(valid & bounds_ok[:, None])] = -np.inf
+            best_gain[at], best_threshold[at] = _best_positions(gains, sorted_x)
 
         column = int(np.argmax(best_gain))
         if not best_gain[column] > _EPS:
@@ -482,6 +507,118 @@ class RootSortWorkspace(FoldWorkspace):
         return model.predict(self.X_val)
 
 
+class _ColumnPlan:
+    """How the split search treats each column of one training matrix.
+
+    Built once per fit from the root matrix ``X`` and valid for every
+    node of that fit, since a node's rows are a subset of the root's.
+    With ``lo``/``hi`` the column minima/maxima:
+
+    * a column is *dead* when ``hi <= lo + _EPS``: no two of its sorted
+      values ever pass the reference's boundary test, so it never
+      splits and is skipped;
+    * *two-valued* (:attr:`binary`) when every value equals ``lo`` or
+      ``hi``, as one-hot columns do: one candidate threshold
+      ``(lo + hi) / 2`` in any node where it is not constant;
+    * *dense* (:attr:`dense`) otherwise, including columns holding NaN.
+
+    The dense columns' root block (stable orders, sorted values and the
+    value-change mask) depends only on ``X``, so fits that share a plan
+    (XGBoost's rounds and classes) also share it; its arrays are
+    read-only.
+    """
+
+    _DEAD, _BINARY, _DENSE = 0, 1, 2
+
+    def __init__(self, X: np.ndarray) -> None:
+        lo = X.min(axis=0)
+        hi = X.max(axis=0)
+        two_valued = ((X == lo) | (X == hi)).all(axis=0)
+        kind = np.where(two_valued, self._BINARY, self._DENSE)
+        kind[hi <= lo + _EPS] = self._DEAD
+        self.kind = kind
+        self.binary = np.flatnonzero(kind == self._BINARY)
+        self.dense = np.flatnonzero(kind == self._DENSE)
+        self.lo = lo
+        self.threshold = 0.5 * (lo + hi)
+        self._root_blocks: dict[bytes, tuple] = {}
+
+    def kinds(self, candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Positions in ``candidates`` of its two-valued and dense columns."""
+        if len(candidates) == len(self.kind):  # every feature, in order
+            return self.binary, self.dense
+        kind = self.kind[candidates]
+        return (
+            np.flatnonzero(kind == self._BINARY),
+            np.flatnonzero(kind == self._DENSE),
+        )
+
+    def sorted_block(
+        self, X: np.ndarray, features: np.ndarray, sort_cache: dict | None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(orders, sorted values, value-change mask) of ``X[:, features]``.
+
+        ``sort_cache`` is passed at the root only (see
+        :meth:`DecisionTreeClassifier.fit`): there the per-feature orders
+        come from it, and the whole block is kept for the next fit that
+        shares this plan.  Elsewhere the columns are argsorted.
+        """
+        if sort_cache is None:
+            return _sorted_block(X, features, None)
+        key = features.tobytes()
+        block = self._root_blocks.get(key)
+        if block is None:
+            block = _sorted_block(X, features, sort_cache)
+            for array in block:
+                array.setflags(write=False)
+            self._root_blocks[key] = block
+        return block
+
+
+def _sorted_block(
+    X: np.ndarray, features: np.ndarray, sort_cache: dict | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    columns = X[:, features]
+    if sort_cache is None:
+        orders = np.argsort(columns, axis=0, kind="stable")
+    else:
+        orders = np.empty(columns.shape, dtype=np.intp)
+        for lane, feature in enumerate(features):
+            orders[:, lane] = DecisionTreeClassifier._feature_order(
+                X, feature, sort_cache
+            )
+    sorted_x = columns[orders, np.arange(len(features))]
+    # a split between positions i and i+1 requires a value change
+    return orders, sorted_x, sorted_x[1:] > sorted_x[:-1] + _EPS
+
+
+def _best_positions(
+    gains: np.ndarray, sorted_x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-lane best gain of a position block and its midpoint threshold."""
+    lanes = np.arange(gains.shape[1])
+    at = np.argmax(gains, axis=0)
+    return gains[at, lanes], 0.5 * (sorted_x[at, lanes] + sorted_x[at + 1, lanes])
+
+
+def _gini_gains(
+    left: np.ndarray, counts: np.ndarray, impurity: float, total_weight: float
+) -> np.ndarray:
+    """Gini gain of splitting ``counts`` into ``left`` and the rest.
+
+    ``left`` is any ``(..., classes)`` block of left-child class sums;
+    both children go through one stacked :func:`_gini_rows` formula.
+    """
+    sides = np.stack((left, counts - left))
+    weights = sides.sum(axis=-1)
+    proportions = sides / np.maximum(weights, _EPS)[..., None]
+    gini = 1.0 - np.sum(proportions**2, axis=-1)
+    weighted = (weights[0] * gini[0] + weights[1] * gini[1]) / max(
+        total_weight, _EPS
+    )
+    return impurity - weighted
+
+
 def _gini(counts: np.ndarray) -> float:
     total = counts.sum()
     if total <= 0:
@@ -494,13 +631,6 @@ def _gini_rows(counts: np.ndarray, weights: np.ndarray) -> np.ndarray:
     safe = np.maximum(weights, _EPS)[:, None]
     proportions = counts / safe
     return 1.0 - np.sum(proportions**2, axis=1)
-
-
-def _gini_planes(counts: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """:func:`_gini_rows` broadcast over a (rows, features, classes) block."""
-    safe = np.maximum(weights, _EPS)[:, :, None]
-    proportions = counts / safe
-    return 1.0 - np.sum(proportions**2, axis=2)
 
 
 def _depth(node: _Node) -> int:

@@ -9,6 +9,10 @@ results to be **byte-identical** to an uninterrupted run.  This is the
 checkpoint format's whole reason to exist (torn final lines are
 dropped, complete lines are durable), exercised by an actual kill
 rather than a simulated truncation.
+
+The study subprocess runs in its own session, and the kill goes to
+its whole process group: a pool run's workers die with it instead of
+surviving as orphans, and the test asserts none of them does.
 """
 
 import os
@@ -78,6 +82,35 @@ def reference(tmp_path_factory):
     return out.read_bytes()
 
 
+def group_survivors(pgid: int) -> list[int]:
+    """Pids of live (non-zombie) processes left in process group ``pgid``."""
+    if not Path("/proc").is_dir():  # no procfs: probe the group instead
+        try:
+            os.killpg(pgid, 0)
+        except ProcessLookupError:
+            return []
+        return [pgid]
+    survivors = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            # "pid (comm) state ppid pgrp ..."; comm may hold spaces
+            state, _, pgrp = stat.read_text().rsplit(")", 1)[1].split()[:3]
+        except (OSError, IndexError):
+            continue  # the process exited while we looked
+        if int(pgrp) == pgid and state != "Z":
+            survivors.append(int(stat.parent.name))
+    return survivors
+
+
+def kill_group(process: subprocess.Popen) -> None:
+    """SIGKILL the study subprocess's whole process group and reap it."""
+    try:
+        os.killpg(process.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass  # every member already exited
+    process.wait(timeout=30)
+
+
 def ledger_lines(path: Path) -> int:
     try:
         return path.read_text().count("\n")
@@ -106,6 +139,7 @@ def test_sigkill_then_resume_is_byte_identical(
             "PYTHONPATH": str(REPO_ROOT / "src"),
         },
         cwd=REPO_ROOT,
+        start_new_session=True,
     )
     try:
         deadline = time.monotonic() + 120.0
@@ -118,12 +152,17 @@ def test_sigkill_then_resume_is_byte_identical(
         else:
             pytest.fail("driver made no checkpoint progress within 120s")
         killed_mid_run = process.poll() is None
-        process.send_signal(signal.SIGKILL)
-        process.wait(timeout=30)
+        kill_group(process)
     finally:
         if process.poll() is None:
-            process.kill()
-            process.wait(timeout=30)
+            kill_group(process)
+
+    # SIGKILL lands asynchronously: give the group a moment to die, then
+    # require that no pool worker outlived the study subprocess
+    deadline = time.monotonic() + 10.0
+    while group_survivors(process.pid) and time.monotonic() < deadline:
+        time.sleep(0.02)
+    assert group_survivors(process.pid) == []
 
     if killed_mid_run:
         # the kill landed while work was outstanding: the ledger must

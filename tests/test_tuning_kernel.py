@@ -36,9 +36,10 @@ from repro.ml import (
     tuning_kernel_disabled,
     tuning_kernel_enabled,
 )
+from repro.ml.base import one_hot
 from repro.ml.knn import _proba_from_distances, _vote, _vote_reference
 from repro.ml.naive_bayes import _ClassStatistics
-from repro.ml.tree import RootSortWorkspace
+from repro.ml.tree import RootSortWorkspace, _ColumnPlan
 from repro.table import FeatureEncoder, LabelEncoder
 from tests.conftest import make_blobs, make_xor
 
@@ -616,3 +617,238 @@ class TestVectorizedGBTSplitIsTheReference:
         with kernel_disabled():
             assert not _GradientTree.vectorized_split
         assert _GradientTree.vectorized_split
+
+
+def adversarial_matrix(n=90, seed=0):
+    """Columns built to hit every branch of the column-plan split kernel.
+
+    Two-valued 0/1 one-hots and their exact duplicates (tied gains),
+    standardized one-hots (two values, neither 0 nor 1), a {-0.0, 0.0,
+    1.0} column (signed zeros are one value), columns constant at the
+    root, a column whose two values sit within ``_EPS`` (never
+    splittable), a copy of the first one-hot that goes constant in both
+    of its children, three-valued and continuous columns, and a column
+    holding NaN.
+    """
+    rng = np.random.default_rng(seed)
+    one_hot_a = rng.integers(0, 2, n).astype(float)
+    one_hot_b = (rng.random(n) < 0.2).astype(float)
+    standardized = (one_hot_b - one_hot_b.mean()) / one_hot_b.std()
+    signed_zero = np.where(rng.random(n) < 0.5, 1.0, 0.0)
+    signed_zero[::3] = -0.0
+    with_nan = rng.normal(size=n)
+    with_nan[::11] = np.nan
+    columns = [
+        one_hot_a,
+        one_hot_a.copy(),
+        standardized,
+        signed_zero,
+        np.zeros(n),
+        np.full(n, 5.0),
+        np.where(rng.random(n) < 0.5, 1.0, 1.0 + 1e-13),
+        one_hot_a * 3.0 - 1.0,
+        rng.integers(0, 3, n).astype(float),
+        np.round(rng.normal(size=n), 1),
+        with_nan,
+        one_hot_b,
+    ]
+    X = np.column_stack(columns)
+    y = (one_hot_a.astype(int) ^ (rng.random(n) < 0.25)).astype(int)
+    y[one_hot_b == 1] = 2
+    return X, y
+
+
+class TestColumnPlanKernelPerNode:
+    """Adversarial per-node parity of the column-plan kernel.
+
+    Every node a kernel fit searches is also handed to
+    ``_best_split_reference`` (rewinding the per-node rng so both see
+    the same feature draws), and the two must choose the identical
+    ``(feature, threshold)`` — a stronger check than comparing finished
+    trees, which a coincidentally equal later split could mask.
+    """
+
+    @staticmethod
+    def check_every_cart_node(monkeypatch, fit):
+        searched: list[int] = []
+        kernel_split = DecisionTreeClassifier._best_split
+
+        def checked(self, X, wy, sort_cache, counts, impurity):
+            state = self._rng.bit_generator.state
+            expected = self._best_split_reference(X, wy)
+            self._rng.bit_generator.state = state
+            chosen = kernel_split(self, X, wy, sort_cache, counts, impurity)
+            assert chosen == expected
+            searched.append(len(X))
+            return chosen
+
+        monkeypatch.setattr(DecisionTreeClassifier, "_best_split", checked)
+        fit()
+        assert searched, "no node was searched"
+        return searched
+
+    @staticmethod
+    def check_every_gbt_node(monkeypatch, fit):
+        from repro.ml.gbt import _GradientTree
+
+        searched: list[int] = []
+        kernel_split = _GradientTree._best_split
+
+        def checked(self, X, grad, hess, grad_sum, hess_sum, sort_cache=None):
+            expected = self._best_split_reference(X, grad, hess, grad_sum, hess_sum)
+            chosen = kernel_split(self, X, grad, hess, grad_sum, hess_sum, sort_cache)
+            assert chosen == expected
+            searched.append(len(X))
+            return chosen
+
+        monkeypatch.setattr(_GradientTree, "_best_split", checked)
+        fit()
+        assert searched, "no node was searched"
+        return searched
+
+    @pytest.mark.parametrize("leaf", (1, 2, 5))
+    def test_cart_adversarial_columns(self, monkeypatch, leaf):
+        X, y = adversarial_matrix()
+        searched = self.check_every_cart_node(
+            monkeypatch,
+            lambda: DecisionTreeClassifier(
+                max_depth=None, min_samples_leaf=leaf
+            ).fit(X, y, root_sort_cache={}),
+        )
+        # deep enough that two-valued columns turn constant in nodes
+        assert len(searched) > 5
+
+    @pytest.mark.parametrize("leaf", (2, 3, 4))
+    def test_min_samples_leaf_at_the_two_valued_boundary(self, leaf):
+        # column 0 has exactly 3 lo rows and separates them perfectly;
+        # column 1 has exactly n - 3 lo rows; both are legal only while
+        # min_samples_leaf <= 3, so the reference's choice flips there
+        n = 24
+        rng = np.random.default_rng(leaf)
+        first = np.ones(n)
+        first[[4, 9, 17]] = 0.0
+        second = np.zeros(n)
+        second[[2, 11, 20]] = 7.5
+        X = np.column_stack([first, second, rng.normal(size=n)])
+        y = np.zeros(n, dtype=int)
+        y[[4, 9, 17]] = 1
+        y[[2, 11, 20]] = 2
+        wy = one_hot(y, 3)
+        tree = DecisionTreeClassifier(min_samples_leaf=leaf, random_state=0)
+        tree._rng = np.random.default_rng(0)
+        expected = tree._best_split_reference(X, wy)
+        assert tree._best_split_vectorized(X, wy) == expected
+        if leaf <= 3:
+            assert expected[0] in (0, 1)
+        else:
+            assert expected is None or expected[0] == 2
+
+    def test_adaboost_non_integer_and_zero_weights(self, monkeypatch):
+        X, y = adversarial_matrix(seed=1)
+        rng = np.random.default_rng(4)
+        weights = rng.random(len(y)) * 3.7
+        weights[::5] = 0.0
+        self.check_every_cart_node(
+            monkeypatch,
+            lambda: DecisionTreeClassifier(max_depth=None).fit(
+                X, y, sample_weight=weights
+            ),
+        )
+        self.check_every_cart_node(
+            monkeypatch,
+            lambda: AdaBoostClassifier(n_estimators=12, random_state=5).fit(X, y),
+        )
+
+    @pytest.mark.parametrize("max_features", (3, "sqrt"))
+    def test_random_forest_feature_subsampling(self, monkeypatch, max_features):
+        X, y = adversarial_matrix(seed=2)
+        self.check_every_cart_node(
+            monkeypatch,
+            lambda: RandomForestClassifier(
+                n_estimators=6, max_depth=None, max_features=max_features,
+                random_state=9,
+            ).fit(X, y, root_sort_cache={}),
+        )
+
+    def test_gbt_adversarial_columns(self, monkeypatch):
+        X, y = adversarial_matrix(seed=3)
+        self.check_every_gbt_node(
+            monkeypatch,
+            lambda: XGBoostClassifier(
+                n_estimators=4, max_depth=4, min_child_weight=0.05, random_state=0
+            ).fit(X, y, root_sort_cache={}),
+        )
+        self.check_every_gbt_node(
+            monkeypatch,
+            lambda: XGBoostClassifier(
+                n_estimators=3, max_depth=3, subsample=0.7, random_state=1
+            ).fit(X, y),
+        )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_gbt_negative_gradients_direct(self, seed):
+        from repro.ml.gbt import _GradientTree
+
+        X, _ = adversarial_matrix(n=40, seed=seed)
+        rng = np.random.default_rng(seed)
+        grad = rng.normal(size=len(X)) - 0.5  # mostly negative
+        hess = rng.uniform(0.0, 0.3, size=len(X))
+        hess[::4] = 0.0
+        tree = _GradientTree(
+            max_depth=3, reg_lambda=0.7, gamma=0.0, min_child_weight=0.2
+        )
+        args = (X, grad, hess, float(grad.sum()), float(hess.sum()))
+        assert tree._best_split_vectorized(*args) == tree._best_split_reference(*args)
+
+    def test_gbt_node_constant_columns_never_split(self):
+        # with gamma < 0 and no hessian floor, a zero-improvement "split"
+        # of a column constant in the node would score above _EPS; the
+        # reference has no boundary there, so the kernel must skip it
+        from repro.ml.gbt import _GradientTree
+
+        rng = np.random.default_rng(8)
+        n = 30
+        X = np.column_stack([np.ones(n), np.zeros(n), np.full(n, 2.0)])
+        X[0, :2] = (0.0, 1.0)  # two-valued at the plan, constant below
+        grad = rng.normal(size=n)
+        hess = rng.random(n)
+        tree = _GradientTree(
+            max_depth=3, reg_lambda=1.0, gamma=-0.5, min_child_weight=0.0
+        )
+        plan = _ColumnPlan(X)
+        rows = slice(1, None)
+        args = (X[rows], grad[rows], hess[rows])
+        sums = (float(grad[rows].sum()), float(hess[rows].sum()))
+        assert tree._best_split_reference(*args, *sums) is None
+        assert tree._best_split_vectorized(*args, *sums, None, plan) is None
+        # the same columns at the plan's own rows do split
+        full = (X, grad, hess, float(grad.sum()), float(hess.sum()))
+        expected = tree._best_split_reference(*full)
+        assert expected is not None
+        assert tree._best_split_vectorized(*full, None, plan) == expected
+
+    def test_summation_order_trap_on_titanic(self, monkeypatch):
+        # random float statistics on a real one-hot table: a matmul, or
+        # a pairwise np.sum along contiguous rows, over the masked rows
+        # differs from the reference's sequential cumsum in the last
+        # bits, which flips near-tied splits
+        from repro.ml.gbt import _GradientTree
+
+        X, y = encoded_dataset("Titanic")
+        rng = np.random.default_rng(0)
+        tree = _GradientTree(
+            max_depth=4, reg_lambda=1.0, gamma=0.0, min_child_weight=1e-3
+        )
+        for _ in range(5):
+            grad = rng.normal(size=len(X))
+            hess = rng.random(len(X))
+            self.check_every_gbt_node(
+                monkeypatch, lambda: tree.fit(X, grad, hess, root_sort_cache={})
+            )
+        weights = rng.random(len(X))
+        self.check_every_cart_node(
+            monkeypatch,
+            lambda: DecisionTreeClassifier(max_depth=None).fit(
+                X, y, sample_weight=weights, root_sort_cache={}
+            ),
+        )
