@@ -43,6 +43,7 @@ HEADLINE_KEYS = (
 
 #: gates a report must carry; one missing from its report counts as false
 REQUIRED_GATES = {
+    "cleaning_kernel": ("zeroer_features_bit_identical",),
     "tuning_kernel": ("split_kernel.split_kernel_bit_identical",),
 }
 

@@ -13,7 +13,10 @@ Times one fixed detection-heavy study three ways on a single core:
 
 All three runs (plus a kernel run at ``n_jobs=2``) must produce **bit
 identical** ``RawExperiment``s — that is the cache's correctness
-contract and the invariant CI enforces.  Results land in
+contract and the invariant CI enforces.  A second gate,
+``zeroer_features_bit_identical``, compares ZeroER's vectorized pair
+featurizer byte for byte against its per-pair reference loop on every
+Restaurant x duplicates training table of the study.  Results land in
 ``BENCH_cleaning_kernel.json`` at the repository root.
 
 The study composition deliberately stresses detection: the full Table 2
@@ -26,7 +29,8 @@ single cheap model keeps training time from masking the detection work.
 
 Run directly (``python benchmarks/bench_cleaning_kernel.py``) or under
 pytest; ``--tiny`` shrinks rows/splits for the CI smoke, which fails
-the step if ``results_bit_identical`` ever goes false.
+the step if ``results_bit_identical`` or
+``zeroer_features_bit_identical`` ever goes false.
 """
 
 from __future__ import annotations
@@ -37,14 +41,17 @@ import sys
 import time
 from pathlib import Path
 
-from repro.cleaning import DUPLICATES, OUTLIERS
+from repro.cleaning import DUPLICATES, OUTLIERS, PairFeaturizer
+from repro.cleaning.zeroer import candidate_pairs
 from repro.core import (
     CleanMLStudy,
     StudyConfig,
+    derive_seed,
     detection_cache_disabled,
     kernel_disabled,
 )
 from repro.datasets import load_dataset
+from repro.table import train_test_split
 
 KERNEL_CONFIG = StudyConfig(
     n_splits=4,
@@ -72,6 +79,28 @@ def build_study(config: StudyConfig, n_rows: int = N_ROWS) -> CleanMLStudy:
     study.add(load_dataset("Credit", seed=0, n_rows=n_rows), OUTLIERS)
     study.add(load_dataset("Restaurant", seed=0, n_rows=n_rows), DUPLICATES)
     return study
+
+
+def zeroer_features_identical(config: StudyConfig, n_rows: int) -> bool:
+    """Vectorized vs reference ZeroER features on the study's train tables.
+
+    Rebuilds each split's Restaurant x duplicates training table exactly
+    as the runner does and compares the feature-matrix bytes of
+    :meth:`PairFeaturizer.features` and its per-pair reference loop.
+    """
+    dataset = load_dataset("Restaurant", seed=0, n_rows=n_rows)
+    for split in range(config.n_splits):
+        seed = derive_seed(config.seed, dataset.name, DUPLICATES, split)
+        train, _ = train_test_split(
+            dataset.dirty, test_ratio=config.test_ratio, seed=seed
+        )
+        featurizer = PairFeaturizer().fit(train)
+        pairs = candidate_pairs(train, featurizer.categorical)
+        fast = featurizer.features(train, pairs)
+        reference = featurizer._features_reference(train, pairs)
+        if fast.tobytes() != reference.tobytes():
+            return False
+    return True
 
 
 def run_cleaning_bench(tiny: bool = False) -> dict:
@@ -132,6 +161,7 @@ def run_cleaning_bench(tiny: bool = False) -> dict:
         "parallel_bit_identical": bool(
             parallel.raw_experiments == kernel.raw_experiments
         ),
+        "zeroer_features_bit_identical": zeroer_features_identical(config, n_rows),
     }
 
 
@@ -152,7 +182,9 @@ def publish_report(report: dict) -> None:
                 f"{report['detection_cache_speedup']:.2f}x from the "
                 f"detection cache alone",
                 f"  bit-identical: {report['results_bit_identical']}, "
-                f"n_jobs=2 identical: {report['parallel_bit_identical']}",
+                f"n_jobs=2 identical: {report['parallel_bit_identical']}, "
+                f"ZeroER features identical: "
+                f"{report['zeroer_features_bit_identical']}",
                 f"[written to {OUTPUT_PATH}]",
             ]
         )
@@ -166,6 +198,9 @@ def check_report(report: dict) -> None:
     )
     assert report["parallel_bit_identical"], (
         "n_jobs=2 cleaning-kernel run diverged from n_jobs=1"
+    )
+    assert report["zeroer_features_bit_identical"], (
+        "vectorized ZeroER features diverged from the per-pair reference"
     )
 
 

@@ -1,12 +1,15 @@
 """Setuptools shim.
 
-The execution environment has no network and no ``wheel`` package, so PEP
-517 editable installs (which require ``bdist_wheel``) fail.  This shim
-enables the legacy path::
+All project metadata lives in ``pyproject.toml`` (PEP 621).  Online,
+``pip install -e ".[test]"`` is the install.  Offline without the
+``wheel`` package, PEP 660 editable builds (which need ``bdist_wheel``)
+fail, and pip 23.1+ also refuses ``--no-use-pep517`` without ``wheel``.
+This shim keeps the legacy editable path, which needs only setuptools::
 
-    pip install -e . --no-build-isolation --no-use-pep517
+    python setup.py develop --no-deps
 
-All project metadata lives in ``pyproject.toml``.
+With ``wheel`` present, ``pip install -e . --no-build-isolation
+--no-use-pep517`` takes the same path.
 """
 
 from setuptools import setup

@@ -9,7 +9,10 @@ examples**.  This module reproduces that pipeline:
    categorical field (or all pairs when the table is small);
 2. **Featurization** — per categorical column: token-Jaccard and exact
    match; per numeric column: ``exp(-|a-b| / scale)`` with the training
-   column's std as scale;
+   column's std as scale.  Whole columns of pairs are scored at once by
+   array kernels (:meth:`PairFeaturizer.features`); the per-pair loop
+   survives as the bit-identical reference
+   (:meth:`PairFeaturizer._features_reference`);
 3. **EM** over a two-component diagonal Gaussian mixture, initialized
    from the overall-similarity extremes;
 4. pairs whose match-component posterior exceeds a threshold are
@@ -22,6 +25,8 @@ pairs, keeping the fit-on-train discipline.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from ..table import Table
@@ -29,6 +34,13 @@ from .base import DUPLICATES, ComposedCleaning, DetectionResult, Detector, check
 from .duplicates import DuplicateDeletionRepair
 
 _SMALL_TABLE = 400  # below this, skip blocking and enumerate all pairs
+
+#: element budget of one block of the categorical kernel's
+#: ``(pairs, L, L)`` token comparison (L = longest token list of the
+#: column; 1M booleans = 1MB).  Pairs are processed in blocks sized to
+#: stay near it — per-pair counts are block-independent, so the result
+#: is unaffected.
+_PAIR_BLOCK_ELEMENTS = 1 << 20
 
 
 def tokenize(value: str | None) -> set[str]:
@@ -48,11 +60,12 @@ def candidate_pairs(table: Table, columns: list[str]) -> list[tuple[int, int]]:
     n = table.n_rows
     if n <= _SMALL_TABLE:
         return [(i, j) for i in range(n) for j in range(i + 1, n)]
+    column_values = [table.column(name).values for name in columns]
     buckets: dict[str, list[int]] = {}
     for i in range(n):
         tokens: set[str] = set()
-        for name in columns:
-            tokens |= tokenize(table.column(name).values[i])
+        for values in column_values:
+            tokens |= tokenize(values[i])
         for token in tokens:
             buckets.setdefault(token, []).append(i)
     pairs: set[tuple[int, int]] = set()
@@ -92,8 +105,52 @@ class PairFeaturizer:
         self.n_features = 2 * len(self.categorical) + len(self.numeric)
         return self
 
+    #: score pairs with the per-column array kernels; ``False`` routes
+    #: :meth:`features` through the per-pair reference loop (flipped by
+    #: :func:`repro.core.kernel_disabled`)
+    vectorized = True
+
     def features(self, table: Table, pairs: list[tuple[int, int]]) -> np.ndarray:
-        """Similarity feature matrix, one row per candidate pair."""
+        """Similarity feature matrix, one row per candidate pair.
+
+        Bit-identical to :meth:`_features_reference`: token-set sizes
+        are exact integer counts, ``int / int`` in Python and float64
+        division of exactly representable integers are the same
+        correctly rounded IEEE division, and every other value comes
+        from the same elementwise operations in the same order.
+        """
+        if not self.vectorized:
+            return self._features_reference(table, pairs)
+        out = np.zeros((len(pairs), self.n_features))
+        flat = np.fromiter(
+            itertools.chain.from_iterable(pairs), dtype=np.intp, count=2 * len(pairs)
+        )
+        a, b = flat[0::2], flat[1::2]
+        col = 0
+        for name in self.categorical:
+            weight = self.weights[name]
+            codes, tokens, sizes = _factorize_tokens(table.column(name).values)
+            code_a, code_b = codes[a], codes[b]
+            shared = _shared_token_counts(tokens, code_a, code_b)
+            union = sizes[code_a] + sizes[code_b] - shared
+            jaccard = np.zeros(len(pairs))
+            np.divide(shared, union, out=jaccard, where=union > 0)
+            out[:, col] = weight * jaccard
+            out[:, col + 1] = weight * ((code_a == code_b) & (code_a >= 0))
+            col += 2
+        for name in self.numeric:
+            values = table.column(name).values
+            va, vb = values[a], values[b]
+            similarity = np.exp(-np.abs(va - vb) / self.scales[name])
+            similarity[np.isnan(va) | np.isnan(vb)] = 0.0
+            out[:, col] = similarity
+            col += 1
+        return out
+
+    def _features_reference(
+        self, table: Table, pairs: list[tuple[int, int]]
+    ) -> np.ndarray:
+        """Per-pair reference loop — the executable spec of :meth:`features`."""
         out = np.zeros((len(pairs), self.n_features))
         token_cache: dict[tuple[str, int], set[str]] = {}
 
@@ -125,6 +182,58 @@ class PairFeaturizer:
                     out[p, col] = np.exp(-abs(va - vb) / self.scales[name])
                 col += 1
         return out
+
+
+def _factorize_tokens(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Integer codes of a categorical column plus each value's token ids.
+
+    Returns ``(codes, tokens, sizes)``: ``codes[i]`` is row ``i``'s
+    distinct-value index (``-1`` where the cell is missing); row ``k``
+    of ``tokens`` holds value ``k``'s token ids, sorted and padded with
+    ``-1``; ``sizes[k]`` is its token count.  Each distinct value is
+    tokenized once.  Both arrays carry one trailing empty row, so a
+    missing cell's ``-1`` code indexes an empty token set.
+    """
+    index: dict[str, int] = {}
+    codes = np.fromiter(
+        (-1 if value is None else index.setdefault(value, len(index)) for value in values),
+        dtype=np.intp,
+        count=len(values),
+    )
+    vocabulary: dict[str, int] = {}
+    token_ids = [
+        sorted(vocabulary.setdefault(token, len(vocabulary)) for token in tokenize(value))
+        for value in index
+    ]
+    sizes = np.array([len(ids) for ids in token_ids] + [0], dtype=np.intp)
+    tokens = np.full((len(token_ids) + 1, int(sizes.max())), -1, dtype=np.intp)
+    for k, ids in enumerate(token_ids):
+        tokens[k, : len(ids)] = ids
+    return codes, tokens, sizes
+
+
+def _shared_token_counts(
+    tokens: np.ndarray, code_a: np.ndarray, code_b: np.ndarray
+) -> np.ndarray:
+    """Exact ``|tokens(a) & tokens(b)|`` for every pair of value codes.
+
+    Token rows hold distinct ids, so the count of equal ``(a, b)`` id
+    slots is the intersection size.  ``b``'s padding is shifted to
+    ``-2`` so padding never matches padding.  Pairs are processed in
+    blocks bounded by :data:`_PAIR_BLOCK_ELEMENTS`.
+    """
+    width = tokens.shape[1]
+    padded_b = np.where(tokens < 0, -2, tokens)
+    shared = np.zeros(len(code_a), dtype=np.intp)
+    step = max(1, _PAIR_BLOCK_ELEMENTS // max(width * width, 1))
+    for start in range(0, len(code_a), step):
+        stop = start + step
+        ta = tokens[code_a[start:stop]]
+        tb = padded_b[code_b[start:stop]]
+        shared[start:stop] = np.count_nonzero(
+            ta[:, :, None] == tb[:, None, :], axis=(1, 2)
+        )
+    return shared
 
 
 class TwoComponentGaussianMixture:
@@ -310,7 +419,7 @@ class ZeroERDetector(Detector):
         if self._mixture is None or not pairs:
             return []
         posterior = self._mixture.match_posterior(X)
-        return [pair for pair, p in zip(pairs, posterior) if p > self.threshold]
+        return [pairs[i] for i in np.flatnonzero(posterior > self.threshold)]
 
     def matched_pairs(self, table: Table) -> list[tuple[int, int]]:
         """Pairs the fitted model declares duplicates."""

@@ -103,6 +103,7 @@ import numpy as np
 
 from ..cleaning.base import MISSING_VALUES, CleaningMethod, DetectionCache
 from ..cleaning.registry import dirty_baseline, methods_for
+from ..cleaning.zeroer import PairFeaturizer
 from ..datasets.base import Dataset
 from ..ml.cv_kernel import (
     FoldData,
@@ -355,8 +356,10 @@ def kernel_disabled():
     method fits and applies a private detector), and the fold-major
     tuning kernel (every search candidate is cloned and fitted
     candidate-major with no shared fold slices or workspaces), routes
-    encoder transforms and the CART split search through their
-    per-row / per-feature reference implementations, and switches the
+    encoder transforms, the CART/XGBoost split search and ZeroER's pair
+    featurizer (:meth:`~repro.cleaning.PairFeaturizer._features_reference`)
+    through their per-row / per-feature / per-pair reference
+    implementations, and switches the
     table core back to eager copy-on-``take``
     (:func:`~repro.table.column.table_views_disabled`) and the table
     I/O stack back to eager resident loading
@@ -374,10 +377,12 @@ def kernel_disabled():
     previous_vectorized = FeatureEncoder.vectorized
     previous_split = DecisionTreeClassifier.vectorized_split
     previous_gbt_split = _GradientTree.vectorized_split
+    previous_featurizer = PairFeaturizer.vectorized
     _KERNEL_ENABLED = False
     FeatureEncoder.vectorized = False
     DecisionTreeClassifier.vectorized_split = False
     _GradientTree.vectorized_split = False
+    PairFeaturizer.vectorized = False
     try:
         with tuning_kernel_disabled(), table_views_disabled(), table_streaming_disabled():
             yield
@@ -386,6 +391,7 @@ def kernel_disabled():
         FeatureEncoder.vectorized = previous_vectorized
         DecisionTreeClassifier.vectorized_split = previous_split
         _GradientTree.vectorized_split = previous_gbt_split
+        PairFeaturizer.vectorized = previous_featurizer
 
 
 @contextmanager
