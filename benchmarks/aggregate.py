@@ -44,7 +44,11 @@ HEADLINE_KEYS = (
 #: gates a report must carry; one missing from its report counts as false
 REQUIRED_GATES = {
     "cleaning_kernel": ("zeroer_features_bit_identical",),
-    "tuning_kernel": ("split_kernel.split_kernel_bit_identical",),
+    "tuning_kernel": (
+        "split_kernel.split_kernel_bit_identical",
+        "split_kernel_dense.split_kernel_dense_bit_identical",
+        "paper_scale_forest.proba_identical",
+    ),
 }
 
 

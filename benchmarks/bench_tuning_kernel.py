@@ -22,8 +22,17 @@ kernel exists to remove.  Everything lands in
 A third gate, ``split_kernel_bit_identical``, covers the tree split
 search on its own: decision_tree, random_forest, adaboost and xgboost
 are fitted on the encoded wide Airbnb matrix through the column-plan
-split kernel and under ``kernel_disabled()`` (the per-feature
-reference loop), and their ``predict_proba`` bytes must match.
+split kernel (the forest through its lockstep engine) and under
+``kernel_disabled()`` (the per-feature reference loop), and their
+``predict_proba`` bytes must match.  Airbnb's columns are mostly
+two-valued, so ``split_kernel_dense_bit_identical`` repeats the check
+on encoded Credit, whose columns are dense and take the sorted path.
+
+``paper_scale_forest`` fits ``RandomForestClassifier(n_estimators=50,
+max_depth=8)`` on encoded Airbnb at 1,000 rows (the paper's width) on
+both paths.  Byte equality of its ``predict_proba`` is a gate; the fit
+seconds and tracemalloc peaks are single runs, recorded so that a
+regression at paper scale shows up in the report.
 
 Run directly (``python benchmarks/bench_tuning_kernel.py``) or under
 pytest; ``--tiny`` shrinks splits/rows/search for the CI smoke, which
@@ -36,12 +45,13 @@ import argparse
 import json
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 from repro.cleaning import OUTLIERS, OutlierCleaning
 from repro.core import CleanMLStudy, StudyConfig, kernel_disabled
 from repro.datasets import load_dataset
-from repro.ml import RandomSearch, make_model, search_space
+from repro.ml import RandomForestClassifier, RandomSearch, make_model, search_space
 from repro.table import FeatureEncoder, LabelEncoder
 
 SEARCH_MODELS = ("knn", "naive_bayes", "decision_tree")
@@ -68,6 +78,10 @@ TINY_CONFIG = StudyConfig(
 N_ROWS = 420
 TINY_ROWS = 150
 
+#: rows of the paper-scale forest fit (encoded Airbnb is ~1,000 columns wide)
+PAPER_ROWS = 1000
+TINY_PAPER_ROWS = 300
+
 METHODS = (
     ("SD", "mean"),
     ("IQR", "median"),
@@ -86,13 +100,14 @@ def build_study(config: StudyConfig, n_rows: int = N_ROWS) -> CleanMLStudy:
     return study
 
 
-def encoded_airbnb(n_rows: int):
-    """(X, y) of the study dataset's dirty table under the study encoders.
+def encoded_dataset(name: str, n_rows: int):
+    """(X, y) of a registry dataset's dirty table under the study encoders.
 
-    The matrix shape (wide one-hot vocabulary included) is exactly what
-    the study's tuning loop and tree fits see.
+    For Airbnb, the study dataset, the matrix shape (wide one-hot
+    vocabulary included) is exactly what the study's tuning loop and
+    tree fits see.
     """
-    dataset = load_dataset("Airbnb", seed=0, n_rows=n_rows)
+    dataset = load_dataset(name, seed=0, n_rows=n_rows)
     table = dataset.dirty
     X = FeatureEncoder().fit_transform(table.features_table())
     y = LabelEncoder().fit(
@@ -101,14 +116,14 @@ def encoded_airbnb(n_rows: int):
     return X, y
 
 
-def split_kernel_identity(n_rows: int) -> dict:
+def split_kernel_identity(dataset_name: str, n_rows: int, gate: str) -> dict:
     """Tree fits through the split kernel vs the reference loop.
 
-    Each model is fitted once per path on the encoded Airbnb matrix; the
-    gate is byte equality of the fitted models' ``predict_proba``.
+    Each model is fitted once per path on the dataset's encoded matrix;
+    the ``gate`` is byte equality of the fitted models' ``predict_proba``.
     The fit seconds are single runs, recorded for context only.
     """
-    X, y = encoded_airbnb(n_rows)
+    X, y = encoded_dataset(dataset_name, n_rows)
     per_model: dict[str, dict] = {}
     for name in SPLIT_MODELS:
         start = time.perf_counter()
@@ -124,11 +139,49 @@ def split_kernel_identity(n_rows: int) -> dict:
             "proba_identical": kernel.tobytes() == reference.tobytes(),
         }
     return {
-        "matrix": f"{X.shape[0]}x{X.shape[1]} encoded (Airbnb dirty)",
+        "matrix": f"{X.shape[0]}x{X.shape[1]} encoded ({dataset_name} dirty)",
         "per_model": per_model,
-        "split_kernel_bit_identical": all(
-            entry["proba_identical"] for entry in per_model.values()
-        ),
+        gate: all(entry["proba_identical"] for entry in per_model.values()),
+    }
+
+
+def paper_scale_forest(n_rows: int) -> dict:
+    """The 50-tree forest on paper-width Airbnb, both paths.
+
+    Byte equality of ``predict_proba`` is the gate.  Seconds and
+    tracemalloc peaks come from single fits: the timed fit runs with
+    tracing off, and a second, traced fit measures the peak.
+    """
+    X, y = encoded_dataset("Airbnb", n_rows)
+
+    def measure() -> tuple[float, float, bytes]:
+        def fit():
+            return RandomForestClassifier(
+                n_estimators=50, max_depth=8, random_state=0
+            ).fit(X, y)
+
+        start = time.perf_counter()
+        proba = fit().predict_proba(X).tobytes()
+        seconds = time.perf_counter() - start
+        tracemalloc.start()
+        try:
+            fit()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return seconds, peak / 2**20, proba
+
+    kernel_seconds, kernel_peak, kernel = measure()
+    with kernel_disabled():
+        reference_seconds, reference_peak, reference = measure()
+    return {
+        "matrix": f"{X.shape[0]}x{X.shape[1]} encoded (Airbnb dirty)",
+        "model": "RandomForestClassifier(n_estimators=50, max_depth=8, random_state=0)",
+        "reference_seconds": round(reference_seconds, 4),
+        "kernel_seconds": round(kernel_seconds, 4),
+        "reference_peak_mb": round(reference_peak, 2),
+        "kernel_peak_mb": round(kernel_peak, 2),
+        "proba_identical": kernel == reference,
     }
 
 
@@ -139,7 +192,7 @@ def time_tuning(config: StudyConfig, n_rows: int, repeats: int = 3) -> dict:
     Asserts fold-major and candidate-major searches agree on
     ``best_params_``/``best_score_``.
     """
-    X, y = encoded_airbnb(n_rows)
+    X, y = encoded_dataset("Airbnb", n_rows)
 
     def build_search(name: str, fold_major: bool) -> RandomSearch:
         return RandomSearch(
@@ -241,7 +294,15 @@ def run_tuning_bench(tiny: bool = False) -> dict:
             "kernel": round(n_tasks / kernel_seconds, 2),
         },
         "tuning_search": time_tuning(config, n_rows, repeats=max(repeats, 2)),
-        "split_kernel": split_kernel_identity(n_rows),
+        "split_kernel": split_kernel_identity(
+            "Airbnb", n_rows, "split_kernel_bit_identical"
+        ),
+        "split_kernel_dense": split_kernel_identity(
+            "Credit", n_rows, "split_kernel_dense_bit_identical"
+        ),
+        "paper_scale_forest": paper_scale_forest(
+            TINY_PAPER_ROWS if tiny else PAPER_ROWS
+        ),
         "results_bit_identical": bool(
             naive.raw_experiments == kernel.raw_experiments
         ),
@@ -258,6 +319,7 @@ def publish_report(report: dict) -> None:
     OUTPUT_PATH.parent.mkdir(exist_ok=True)
     OUTPUT_PATH.write_text(json.dumps(report, indent=1) + "\n")
     tuning = report["tuning_search"]
+    paper = report["paper_scale_forest"]
     per_model = "  ".join(
         f"{name}: {entry['speedup']:.2f}x"
         for name, entry in tuning["per_model"].items()
@@ -281,6 +343,14 @@ def publish_report(report: dict) -> None:
                 f"  split kernel on {report['split_kernel']['matrix']} "
                 f"({'+'.join(SPLIT_MODELS)}; bit-identical: "
                 f"{report['split_kernel']['split_kernel_bit_identical']})",
+                f"  dense split kernel on "
+                f"{report['split_kernel_dense']['matrix']} (bit-identical: "
+                f"{report['split_kernel_dense']['split_kernel_dense_bit_identical']})",
+                f"  paper-scale forest on {paper['matrix']}: "
+                f"{paper['reference_seconds']:.2f}s -> {paper['kernel_seconds']:.2f}s, "
+                f"peak {paper['reference_peak_mb']:.1f} -> "
+                f"{paper['kernel_peak_mb']:.1f} MB "
+                f"(bit-identical: {paper['proba_identical']})",
                 f"[written to {OUTPUT_PATH}]",
             ]
         )
@@ -303,6 +373,12 @@ def check_report(report: dict) -> None:
     )
     assert report["split_kernel"]["split_kernel_bit_identical"], (
         "tree split kernel diverged from the reference split search"
+    )
+    assert report["split_kernel_dense"]["split_kernel_dense_bit_identical"], (
+        "tree split kernel diverged from the reference on dense columns"
+    )
+    assert report["paper_scale_forest"]["proba_identical"], (
+        "paper-scale forest diverged from the reference split search"
     )
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import Classifier, check_fit_inputs
-from .tree import DecisionTreeClassifier, RootSortWorkspace
+from .tree import DecisionTreeClassifier, RootSortWorkspace, _ColumnPlan
 
 
 class AdaBoostClassifier(Classifier):
@@ -54,12 +54,15 @@ class AdaBoostClassifier(Classifier):
         weight-free — so one cache serves every round of this fit, and,
         when the tuning kernel passes ``root_sort_cache`` in, every
         search candidate too.  Cached orders equal the argsorts each
-        stump would recompute, keeping fits bit-identical.
+        stump would recompute, keeping fits bit-identical.  For the
+        same reason every round shares one column plan of ``X``, and
+        with it the plan's read-only root sorted blocks.
         """
         X, y, n_classes = check_fit_inputs(X, y)
         self.n_classes_ = n_classes
         rng = np.random.default_rng(self.random_state)
         sort_cache = {} if root_sort_cache is None else root_sort_cache
+        plan = _ColumnPlan(X)
 
         n_samples = len(y)
         weights = np.full(n_samples, 1.0 / n_samples)
@@ -77,6 +80,7 @@ class AdaBoostClassifier(Classifier):
                 sample_weight=weights,
                 n_classes=n_classes,
                 root_sort_cache=sort_cache,
+                column_plan=plan,
             )
             predictions = stump.predict(X)
             wrong = predictions != y

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import Classifier, check_fit_inputs
-from .tree import DecisionTreeClassifier, RootSortWorkspace
+from .tree import DecisionTreeClassifier, RootSortWorkspace, _Lockstep
 
 
 class RandomForestClassifier(Classifier):
@@ -46,35 +46,45 @@ class RandomForestClassifier(Classifier):
         y: np.ndarray,
         root_sort_cache: dict | None = None,
     ) -> "RandomForestClassifier":
-        """Fit the forest; per-tree root argsorts may be shared.
+        """Fit the forest, growing every tree in lockstep.
 
-        The bootstrap and per-tree seed draws are a pure function of
-        ``random_state``, so two fits on the same ``(X, y)`` that agree
-        on ``random_state`` grow tree ``i`` on the *same* bootstrap
-        sample — which is how the tuning kernel shares root argsorts
-        across search candidates that only vary depth/width knobs:
-        ``root_sort_cache`` nests one sub-cache per ``(random_state,
-        tree index)``, each valid for that tree's (recreated but
-        value-identical) bootstrap matrix.  A candidate with more trees
-        extends the draw sequence past a smaller candidate's, so cached
-        prefixes still align; a candidate with a *different*
-        ``random_state`` keys disjoint sub-caches, and an unseeded
-        forest (nondeterministic bootstraps) opts out entirely.
+        Tree ``i`` is grown on bootstrap draw ``i`` with its own seed,
+        both drawn from ``random_state`` in tree order.  The trees grow
+        together through one :class:`~repro.ml.tree._Lockstep` engine on
+        ``X`` itself, each bootstrap an index array into it; the fitted
+        trees equal, node for node, the ones each
+        ``DecisionTreeClassifier.fit`` on its resampled matrix would
+        build.
+
+        Under ``kernel_disabled()`` each tree is fitted on its own
+        resampled matrix through the reference split search instead.
+        Only that path reads ``root_sort_cache``: it nests one sub-cache
+        per ``(random_state, tree index)``, valid because the bootstrap
+        draws are a pure function of ``random_state``, so tree ``i`` of
+        every search candidate with that seed sees the same matrix.  An
+        unseeded forest opts out.
         """
         X, y, n_classes = check_fit_inputs(X, y)
         self.n_classes_ = n_classes
         rng = np.random.default_rng(self.random_state)
         self.estimators_: list[DecisionTreeClassifier] = []
+        bootstraps = []
         n_samples = len(X)
-        for index in range(self.n_estimators):
-            bootstrap = rng.integers(0, n_samples, size=n_samples)
-            tree = DecisionTreeClassifier(
-                max_depth=self.max_depth,
-                min_samples_split=self.min_samples_split,
-                min_samples_leaf=self.min_samples_leaf,
-                max_features=self.max_features,
-                random_state=int(rng.integers(0, 2**31 - 1)),
+        for _ in range(self.n_estimators):
+            bootstraps.append(rng.integers(0, n_samples, size=n_samples))
+            self.estimators_.append(
+                DecisionTreeClassifier(
+                    max_depth=self.max_depth,
+                    min_samples_split=self.min_samples_split,
+                    min_samples_leaf=self.min_samples_leaf,
+                    max_features=self.max_features,
+                    random_state=int(rng.integers(0, 2**31 - 1)),
+                )
             )
+        if DecisionTreeClassifier.vectorized_split:
+            _Lockstep(X, y, n_classes).grow(self.estimators_, bootstraps)
+            return self
+        for index, (tree, bootstrap) in enumerate(zip(self.estimators_, bootstraps)):
             tree_cache = None
             if root_sort_cache is not None and self.random_state is not None:
                 tree_cache = root_sort_cache.setdefault(
@@ -86,7 +96,6 @@ class RandomForestClassifier(Classifier):
                 n_classes=n_classes,
                 root_sort_cache=tree_cache,
             )
-            self.estimators_.append(tree)
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:

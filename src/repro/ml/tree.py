@@ -6,7 +6,9 @@ maximum has exactly one candidate threshold and is scored without a
 sort, from one masked sequential sum of the weighted one-hot labels;
 every other column is sorted and scored at every threshold in a single
 cumulative-sum pass.  Sample weights make the same builder serve
-AdaBoost; a ``max_features`` knob makes it serve the random forest.
+AdaBoost.  The random forest's unweighted trees grow together through
+:class:`_Lockstep`, which scores one node of every tree per step in a
+single flat pass of exact integer class counts.
 
 The root split's per-feature ``argsort`` depends only on the training
 matrix — never on depth/leaf hyper-parameters or sample weights — so
@@ -30,7 +32,8 @@ _EPS = 1e-12
 #: (rows, features, classes) cumsum is the largest temporary; 2^23
 #: float64 elements = 64MB).  Wider candidate sets are processed in
 #: feature chunks — per-feature best gains are chunk-independent, so
-#: the result is unaffected.
+#: the result is unaffected.  The lockstep engine chunks its lanes so
+#: that (lane rows, classes) stays within the same budget.
 _SPLIT_BLOCK_ELEMENTS = 1 << 23
 
 
@@ -85,6 +88,7 @@ class DecisionTreeClassifier(Classifier):
         sample_weight: np.ndarray | None = None,
         n_classes: int | None = None,
         root_sort_cache: dict | None = None,
+        column_plan: "_ColumnPlan | None" = None,
     ) -> "DecisionTreeClassifier":
         """Train the tree.
 
@@ -101,10 +105,14 @@ class DecisionTreeClassifier(Classifier):
         order equals the argsort the root would recompute, so the fitted
         tree is bit-identical.  Child nodes sort their (weight-dependent)
         row subsets as before.
+
+        ``column_plan`` is the :class:`_ColumnPlan` of this ``X``, built
+        here when omitted; fits on one matrix (AdaBoost's rounds) share
+        one, and with it its read-only root sorted blocks.
         """
         X, y, observed = check_fit_inputs(X, y)
         n_classes = observed if n_classes is None else max(int(n_classes), observed)
-        self.n_classes_ = n_classes
+        self._begin_fit(n_classes)
         if sample_weight is None:
             sample_weight = np.ones(len(y), dtype=np.float64)
         else:
@@ -113,9 +121,8 @@ class DecisionTreeClassifier(Classifier):
                 raise ValueError("sample_weight shape must match y")
             if np.any(sample_weight < 0):
                 raise ValueError("sample weights must be non-negative")
-        self._rng = np.random.default_rng(self.random_state)
         self._root_sort_cache = root_sort_cache
-        self._plan = _ColumnPlan(X)
+        self._plan = _ColumnPlan(X) if column_plan is None else column_plan
         weighted_labels = sample_weight[:, None] * one_hot(y, n_classes)
         self._root = self._build(X, weighted_labels, depth=0)
         # the cache and plan are only valid for this fit's training
@@ -123,6 +130,13 @@ class DecisionTreeClassifier(Classifier):
         self._root_sort_cache = None
         self._plan = None
         return self
+
+    def _begin_fit(self, n_classes: int) -> None:
+        """Reset the per-fit state: class width, rng, no cache or plan."""
+        self.n_classes_ = n_classes
+        self._rng = np.random.default_rng(self.random_state)
+        self._root_sort_cache = None
+        self._plan = None
 
     def _build(self, X: np.ndarray, wy: np.ndarray, depth: int) -> _Node:
         counts = wy.sum(axis=0)
@@ -283,7 +297,7 @@ class DecisionTreeClassifier(Classifier):
             impurity = _gini(counts)
         if plan is None:
             plan = _ColumnPlan(X)
-        total_weight = counts.sum()
+        total_weight = max(counts.sum(), _EPS)
 
         best_gain = np.full(len(candidates), -np.inf)
         best_threshold = np.zeros(len(candidates))
@@ -488,10 +502,11 @@ class RootSortWorkspace(FoldWorkspace):
     ``fit(..., root_sort_cache=...)``: AdaBoost threads it
     (``feature -> argsort`` of the fold's training matrix) into every
     boosting round (all stumps fit the full matrix); XGBoost into every
-    round and class; the random forest nests per-tree sub-caches keyed
-    by ``(random_state, tree index)``, valid because its bootstrap
-    draws are a pure function of ``random_state`` and so identical
-    across candidates.  Candidate hyper-parameters (depth,
+    round and class; the random forest, on its reference path only,
+    nests per-tree sub-caches keyed by ``(random_state, tree index)``,
+    valid because its bootstrap draws are a pure function of
+    ``random_state`` and so identical across candidates (its lockstep
+    engine sorts nothing per node).  Candidate hyper-parameters (depth,
     leaf sizes, learning rate, sample weights) never influence a root
     argsort, so reuse is bit-exact.
     """
@@ -592,6 +607,319 @@ def _sorted_block(
     return orders, sorted_x, sorted_x[1:] > sorted_x[:-1] + _EPS
 
 
+class _Pending:
+    """A grown node awaiting its stopping checks and, unless a leaf, a search."""
+
+    __slots__ = ("tree", "stack", "node", "rows", "counts", "impurity", "depth")
+
+
+class _Lockstep:
+    """Grows unweighted CART trees on one training matrix in lockstep.
+
+    :meth:`DecisionTreeClassifier._build` searches one node at a time,
+    paying about 70 small numpy calls per node; on the study's small
+    matrices that overhead, not sorting, is the fit.  This engine grows
+    many trees at once (a forest's trees) and pays those calls once per
+    *step* instead.  Each step takes from every tree the next node that
+    needs a search, in the recursion's depth-first order, so each tree
+    draws its candidate features from its rng in the same order.  Every
+    (node, candidate feature) pair of the step is a *lane*, and all
+    lanes are scored in one flat pass:
+
+    * two-valued lanes count the classes of their ``lo`` rows with one
+      ``bincount``, with no sort;
+    * dense lanes sort their rows by ``(lane, rank)`` keys over one
+      per-column value rank of ``X``, and one ``cumsum`` over the whole
+      step, minus each lane's base, gives the left-child counts at
+      every position.
+
+    Node rows are index arrays into ``X`` (a forest's roots are its
+    bootstrap draws), so no tree copies its training matrix.  A node's
+    children are recounted from the rows its threshold actually sends
+    each way, as :meth:`DecisionTreeClassifier._build` does.
+
+    The fitted trees are identical, node for node, to the ones the
+    recursion builds, because in an unweighted fit every class sum is
+    an integer held exactly in float64.  A left count at a boundary
+    between distinct values is then the same number whatever order
+    the rows were summed in, and however rows of equal value were
+    ordered; each gain goes through the recursion's own elementwise
+    formula (:func:`_gini_gains`), and each first-maximum pick follows
+    its scan order.  Weighted fits keep :meth:`_best_split_vectorized`.
+    """
+
+    def __init__(self, X: np.ndarray, y: np.ndarray, n_classes: int) -> None:
+        self.X = X
+        self.y = y
+        self.n_classes = n_classes
+        self.plan = plan = _ColumnPlan(X)
+        self.is_lo = X == plan.lo
+        #: per-column dense rank of each value (equal values share one;
+        #: every NaN gets its own, above all numbers), dense columns only
+        self.rank = np.zeros(X.shape, dtype=np.int64)
+        if len(plan.dense):
+            columns = X[:, plan.dense]
+            order = np.argsort(columns, axis=0, kind="stable")
+            ordered = np.take_along_axis(columns, order, axis=0)
+            rises = np.zeros(columns.shape, dtype=np.int64)
+            rises[1:] = ordered[1:] != ordered[:-1]
+            ranks = np.empty_like(rises)
+            np.put_along_axis(ranks, order, np.cumsum(rises, axis=0), axis=0)
+            self.rank[:, plan.dense] = ranks
+        self.unit = np.eye(n_classes)
+
+    def grow(self, trees: list, roots: list) -> None:
+        """Fit ``trees`` on the row index arrays ``roots``.
+
+        The trees share their hyper-parameters.
+        """
+        if not trees:
+            return
+        stacks: list[list[_Pending]] = [[] for _ in trees]
+        for tree, stack, entry in zip(trees, stacks, self._open(roots)):
+            tree._begin_fit(self.n_classes)
+            entry.tree, entry.stack, entry.depth = tree, stack, 0
+            tree._root = entry.node
+            stack.append(entry)
+        while True:
+            step = self._next_step(stacks)
+            if not step:
+                return
+            self._branch(step, self._search(step))
+
+    def _open(self, rows: list) -> list[_Pending]:
+        """Pending nodes on ``rows``, with the recursion's proba and Gini."""
+        n_classes = self.n_classes
+        sizes = [len(part) for part in rows]
+        owner = np.repeat(np.arange(len(rows)), sizes)
+        counts = np.bincount(
+            owner * n_classes + self.y[np.concatenate(rows)],
+            minlength=len(rows) * n_classes,
+        ).reshape(len(rows), n_classes).astype(np.float64)
+        total = counts.sum(axis=1, keepdims=True)
+        empty = total[:, 0] <= 0
+        proba = counts / np.where(empty[:, None], 1.0, total)
+        proba[empty] = 1.0 / n_classes
+        impurity = 1.0 - np.sum(proba**2, axis=1)
+        impurity[empty] = 0.0
+        opened = []
+        for part, node_counts, node_proba, gini in zip(
+            rows, counts, proba, impurity.tolist()
+        ):
+            entry = _Pending()
+            entry.node = _Node(node_proba)
+            entry.rows = part
+            entry.counts = node_counts
+            entry.impurity = gini
+            opened.append(entry)
+        return opened
+
+    @staticmethod
+    def _next_step(stacks: list) -> list[_Pending]:
+        """Each tree's next node to search; leaves are resolved on the way."""
+        step = []
+        for stack in stacks:
+            while stack:
+                entry = stack.pop()
+                tree = entry.tree
+                n_samples = len(entry.rows)
+                if (
+                    (tree.max_depth is not None and entry.depth >= tree.max_depth)
+                    or n_samples < tree.min_samples_split
+                    or n_samples < 2 * tree.min_samples_leaf
+                    or entry.impurity <= _EPS
+                ):
+                    continue
+                step.append(entry)
+                break
+        return step
+
+    def _search(self, step: list) -> list:
+        """``(feature, threshold)`` or ``None`` for every node of a step.
+
+        Draws each node's candidate features from its tree's rng, then
+        scores every lane (node x candidate) of the step; the tests
+        replay each node through :meth:`_best_split_reference` here.
+        """
+        n_features = self.X.shape[1]
+        features = np.concatenate(
+            [entry.tree._candidate_features(n_features) for entry in step]
+        )
+        per_node = len(features) // len(step)
+        lanes = _Lanes(self, step, features, np.repeat(np.arange(len(step)), per_node))
+        budget = max(_SPLIT_BLOCK_ELEMENTS // self.n_classes, 1)
+        kind = self.plan.kind[features]
+        for score, selected in (
+            (lanes.score_two_valued, kind == _ColumnPlan._BINARY),
+            (lanes.score_dense, kind == _ColumnPlan._DENSE),
+        ):
+            for chunk in _lane_chunks(np.flatnonzero(selected), lanes.sizes, budget):
+                score(chunk)
+        # each node's first best candidate, as the recursion's scan picks it
+        picked = np.arange(len(step)) * per_node + np.argmax(
+            lanes.gain.reshape(len(step), per_node), axis=1
+        )
+        return [
+            (int(features[lane]), float(lanes.threshold[lane]))
+            if lanes.gain[lane] > _EPS
+            else None
+            for lane in picked.tolist()
+        ]
+
+    def _branch(self, step: list, splits: list) -> None:
+        """Give every split node its children and queue them depth-first."""
+        chosen = [(entry, split) for entry, split in zip(step, splits) if split]
+        if not chosen:
+            return
+        sizes = [len(entry.rows) for entry, _ in chosen]
+        rows = np.concatenate([entry.rows for entry, _ in chosen])
+        feature = np.repeat([split[0] for _, split in chosen], sizes)
+        threshold = np.repeat([split[1] for _, split in chosen], sizes)
+        side = np.repeat(np.arange(0, 2 * len(chosen), 2), sizes)
+        goes_left = self.X[rows, feature] <= threshold
+        side += np.logical_not(goes_left, out=goes_left)  # NaN goes right
+        order = np.argsort(side, kind="stable")
+        rows = rows[order]
+        ends = np.cumsum(np.bincount(side, minlength=2 * len(chosen))).tolist()
+        children = self._open(
+            [rows[start:end] for start, end in zip([0] + ends[:-1], ends)]
+        )
+        for index, (entry, (feature, threshold)) in enumerate(chosen):
+            left, right = children[2 * index], children[2 * index + 1]
+            node = entry.node
+            node.feature, node.threshold = feature, threshold
+            node.left, node.right = left.node, right.node
+            for child in (right, left):  # left is searched first
+                child.tree, child.stack = entry.tree, entry.stack
+                child.depth = entry.depth + 1
+                entry.stack.append(child)
+
+
+class _Lanes:
+    """The (node, candidate feature) lanes of one lockstep step.
+
+    Holds the step's rows, concatenated node after node, and fills the
+    best gain and threshold of each lane (``-inf`` where a lane has no
+    legal boundary).
+    """
+
+    def __init__(self, engine: _Lockstep, step: list, features, node) -> None:
+        self.engine = engine
+        self.features = features
+        self.node = node
+        node_sizes = np.array([len(entry.rows) for entry in step])
+        self.rows = np.concatenate([entry.rows for entry in step])
+        self.labels = engine.y[self.rows]
+        #: per lane: where its node's rows start in ``rows``, and how many
+        self.offsets = (np.cumsum(node_sizes) - node_sizes)[node]
+        self.sizes = node_sizes[node]
+        self.counts = np.array([entry.counts for entry in step])
+        self.impurity = np.array([entry.impurity for entry in step])
+        self.total = np.maximum(self.counts.sum(axis=1), _EPS)
+        self.leaf = max(step[0].tree.min_samples_leaf, 1)
+        self.gain = np.full(len(features), -np.inf)
+        self.threshold = np.zeros(len(features))
+
+    def _flatten(self, lanes: np.ndarray):
+        """``lanes`` laid out row by row, lane after lane.
+
+        Returns each row's position in ``self.rows`` and its lane's slot
+        in ``lanes``, plus every lane's row count and first row.
+        """
+        sizes = self.sizes[lanes]
+        ends = np.cumsum(sizes)
+        starts = ends - sizes
+        at = np.arange(ends[-1]) + np.repeat(self.offsets[lanes] - starts, sizes)
+        return at, np.repeat(np.arange(len(lanes)), sizes), sizes, starts
+
+    def _gains(self, left: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+        node = self.node[lanes]
+        return _gini_gains(
+            left, self.counts[node], self.impurity[node], self.total[node]
+        )
+
+    def score_two_valued(self, lanes: np.ndarray) -> None:
+        """Score two-valued lanes from the class counts of their ``lo`` rows."""
+        engine = self.engine
+        n_classes = engine.n_classes
+        at, slot, sizes, _ = self._flatten(lanes)
+        is_lo = engine.is_lo[self.rows[at], np.repeat(self.features[lanes], sizes)]
+        left = np.bincount(
+            slot[is_lo] * n_classes + self.labels[at[is_lo]],
+            minlength=len(lanes) * n_classes,
+        ).reshape(len(lanes), n_classes).astype(np.float64)
+        n_lo = left.sum(axis=1)
+        keep = n_lo >= self.leaf
+        keep &= n_lo <= sizes - self.leaf
+        lanes = lanes[keep]
+        self.gain[lanes] = self._gains(left[keep], lanes)
+        self.threshold[lanes] = engine.plan.threshold[self.features[lanes]]
+
+    def score_dense(self, lanes: np.ndarray) -> None:
+        """Score dense lanes at every boundary of their value-sorted rows."""
+        engine = self.engine
+        at, slot, sizes, starts = self._flatten(lanes)
+        feature = np.repeat(self.features[lanes], sizes)
+        rows = self.rows[at]
+        order = np.argsort(
+            slot * len(engine.X) + engine.rank[rows, feature], kind="stable"
+        )
+        rows, at = rows[order], at[order]
+        values = engine.X[rows, feature]
+        cumulative = np.cumsum(engine.unit[self.labels[at]], axis=0)
+        # left size of the boundary after each row, and whether it is
+        # legal; the size bound also rules out a lane's last row, whose
+        # "next" value belongs to the following lane
+        n_left = np.arange(1, len(rows) + 1) - np.repeat(starts, sizes)
+        legal = n_left >= self.leaf
+        legal &= n_left <= np.repeat(sizes - self.leaf, sizes)
+        legal[:-1] &= values[1:] > values[:-1] + _EPS
+        position = np.flatnonzero(legal)
+        if not len(position):
+            return
+        base = cumulative[np.maximum(starts - 1, 0)]
+        base[starts == 0] = 0.0
+        owner = slot[position]
+        gains = self._gains(cumulative[position] - base[owner], lanes[owner])
+        first = _first_max_per_run(gains, owner)
+        won = lanes[owner[first]]
+        position = position[first]
+        self.gain[won] = gains[first]
+        self.threshold[won] = 0.5 * (values[position] + values[position + 1])
+
+
+def _lane_chunks(lanes: np.ndarray, sizes: np.ndarray, budget: int):
+    """Runs of ``lanes`` of at most ``budget`` rows (a longer lane alone)."""
+    lengths = sizes[lanes].tolist()
+    if sum(lengths) <= budget:
+        if len(lanes):
+            yield lanes
+        return
+    start, rows = 0, 0
+    for index, length in enumerate(lengths):
+        if index > start and rows + length > budget:
+            yield lanes[start:index]
+            start, rows = index, 0
+        rows += length
+    yield lanes[start:]
+
+
+def _first_max_per_run(values: np.ndarray, runs: np.ndarray) -> np.ndarray:
+    """Index of the first maximum of ``values`` within each run of ``runs``.
+
+    ``runs`` is non-decreasing; the result follows its run order.
+    """
+    head = _run_heads(runs)
+    peak = np.maximum.reduceat(values, head)
+    hit = np.flatnonzero(values == np.repeat(peak, np.diff(np.append(head, len(values)))))
+    return hit[_run_heads(runs[hit])]
+
+
+def _run_heads(runs: np.ndarray) -> np.ndarray:
+    """Positions where a run of the non-decreasing ``runs`` starts."""
+    return np.append(0, np.flatnonzero(np.diff(runs)) + 1)
+
+
 def _best_positions(
     gains: np.ndarray, sorted_x: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -602,20 +930,23 @@ def _best_positions(
 
 
 def _gini_gains(
-    left: np.ndarray, counts: np.ndarray, impurity: float, total_weight: float
+    left: np.ndarray,
+    counts: np.ndarray,
+    impurity: float | np.ndarray,
+    total_weight: float | np.ndarray,
 ) -> np.ndarray:
     """Gini gain of splitting ``counts`` into ``left`` and the rest.
 
     ``left`` is any ``(..., classes)`` block of left-child class sums;
     both children go through one stacked :func:`_gini_rows` formula.
+    ``impurity`` and ``total_weight`` (clamped to ``_EPS`` by the caller)
+    are the node's, or one per row of ``left`` in the lockstep engine.
     """
     sides = np.stack((left, counts - left))
     weights = sides.sum(axis=-1)
     proportions = sides / np.maximum(weights, _EPS)[..., None]
     gini = 1.0 - np.sum(proportions**2, axis=-1)
-    weighted = (weights[0] * gini[0] + weights[1] * gini[1]) / max(
-        total_weight, _EPS
-    )
+    weighted = (weights[0] * gini[0] + weights[1] * gini[1]) / total_weight
     return impurity - weighted
 
 

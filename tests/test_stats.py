@@ -130,6 +130,25 @@ class TestFDR:
                 last_true = np.nonzero(flags_sorted)[0][-1]
                 assert flags_sorted[: last_true + 1].all()
 
+    @pytest.mark.parametrize(
+        "method, procedure", (("bh", benjamini_hochberg), ("by", benjamini_yekutieli))
+    )
+    def test_rejections_match_scipy_false_discovery_control(self, method, procedure):
+        # scipy adjusts the p-values; a test is rejected iff its adjusted
+        # p-value is at most alpha.  Powers of uniform draws skew towards
+        # small p-values, so draws range from no to nearly full rejection.
+        rng = np.random.default_rng(0)
+        rejected = kept = 0
+        for _ in range(500):
+            pvalues = rng.uniform(size=int(rng.integers(1, 80))) ** rng.uniform(1, 8)
+            alpha = float(rng.choice([0.01, 0.05, 0.1, 0.2]))
+            adjusted = scipy_stats.false_discovery_control(pvalues, method=method)
+            ours = procedure(pvalues, alpha=alpha)
+            assert np.array_equal(ours, adjusted <= alpha)
+            rejected += int(ours.sum())
+            kept += int((~ours).sum())
+        assert rejected > 1000 and kept > 1000
+
     def test_none_procedure_is_raw_alpha(self):
         pvalues = np.array([0.01, 0.04, 0.06])
         assert reject(pvalues, alpha=0.05, procedure="none").tolist() == [

@@ -39,7 +39,7 @@ from repro.ml import (
 from repro.ml.base import one_hot
 from repro.ml.knn import _proba_from_distances, _vote, _vote_reference
 from repro.ml.naive_bayes import _ClassStatistics
-from repro.ml.tree import RootSortWorkspace, _ColumnPlan
+from repro.ml.tree import RootSortWorkspace, _ColumnPlan, _gini, _Lockstep
 from repro.table import FeatureEncoder, LabelEncoder
 from tests.conftest import make_blobs, make_xor
 
@@ -665,7 +665,10 @@ class TestColumnPlanKernelPerNode:
     ``_best_split_reference`` (rewinding the per-node rng so both see
     the same feature draws), and the two must choose the identical
     ``(feature, threshold)`` — a stronger check than comparing finished
-    trees, which a coincidentally equal later split could mask.
+    trees, which a coincidentally equal later split could mask.  Nodes
+    the lockstep engine searches are replayed from its ``_search`` seam
+    on each node's own rows; there the node's class counts and Gini
+    must also equal the ones the recursion computes.
     """
 
     @staticmethod
@@ -682,7 +685,29 @@ class TestColumnPlanKernelPerNode:
             searched.append(len(X))
             return chosen
 
+        kernel_search = _Lockstep._search
+
+        def checked_step(self, step):
+            # one node per tree per step, so each tree's state before
+            # the step is the state before its node's draw
+            before = [entry.tree._rng.bit_generator.state for entry in step]
+            chosen = kernel_search(self, step)
+            for entry, state, split in zip(step, before, chosen):
+                rng = entry.tree._rng
+                after = rng.bit_generator.state
+                rng.bit_generator.state = state
+                wy = one_hot(self.y[entry.rows], self.n_classes)
+                expected = entry.tree._best_split_reference(self.X[entry.rows], wy)
+                assert rng.bit_generator.state == after
+                assert split == expected
+                counts = wy.sum(axis=0)
+                assert entry.counts.tobytes() == counts.tobytes()
+                assert entry.impurity == _gini(counts)
+                searched.append(len(entry.rows))
+            return chosen
+
         monkeypatch.setattr(DecisionTreeClassifier, "_best_split", checked)
+        monkeypatch.setattr(_Lockstep, "_search", checked_step)
         fit()
         assert searched, "no node was searched"
         return searched
@@ -769,6 +794,116 @@ class TestColumnPlanKernelPerNode:
                 random_state=9,
             ).fit(X, y, root_sort_cache={}),
         )
+
+    @staticmethod
+    def reference_forest(X, y, **params):
+        """Forest fitted tree by tree through the reference split search."""
+        with kernel_disabled():
+            return RandomForestClassifier(**params).fit(X, y)
+
+    @staticmethod
+    def assert_same_forest(a, b):
+        assert len(a.estimators_) == len(b.estimators_)
+        for left, right in zip(a.estimators_, b.estimators_):
+            assert_same_tree(left, right)
+
+    @pytest.mark.parametrize("n_classes", (3, 4, 9))
+    @pytest.mark.parametrize("max_features", (None, 3, "sqrt"))
+    def test_lockstep_forest_classes_and_feature_draws(
+        self, monkeypatch, max_features, n_classes
+    ):
+        # nine classes take numpy's unrolled pairwise sum over the class
+        # axis; the NaN column of the adversarial matrix rides along
+        X, y = adversarial_matrix(seed=n_classes)
+        rng = np.random.default_rng(n_classes)
+        y = (y + rng.integers(0, n_classes, len(y))) % n_classes
+        params = dict(
+            n_estimators=5, max_depth=None, max_features=max_features,
+            random_state=n_classes,
+        )
+        fitted = []
+        searched = self.check_every_cart_node(
+            monkeypatch,
+            lambda: fitted.append(RandomForestClassifier(**params).fit(X, y)),
+        )
+        assert len(searched) > 20
+        self.assert_same_forest(fitted[0], self.reference_forest(X, y, **params))
+
+    def test_lockstep_nan_column_and_duplicate_rows(self, monkeypatch):
+        # every row appears twice in X and bootstraps repeat rows again;
+        # one column is mostly NaN, so NaN ranks dominate its lanes
+        X, y = adversarial_matrix(n=45, seed=6)
+        mostly_nan = np.full(len(X), np.nan)
+        mostly_nan[::4] = np.arange(len(X))[::4] % 3
+        X = np.vstack([np.column_stack([X, mostly_nan])] * 2)
+        y = np.concatenate([y, y])
+        params = dict(n_estimators=6, max_depth=None, max_features=4, random_state=4)
+        fitted = []
+        self.check_every_cart_node(
+            monkeypatch,
+            lambda: fitted.append(RandomForestClassifier(**params).fit(X, y)),
+        )
+        self.assert_same_forest(fitted[0], self.reference_forest(X, y, **params))
+
+    @pytest.mark.parametrize("leaf", (2, 3, 4))
+    def test_lockstep_min_samples_leaf_at_the_two_valued_boundary(
+        self, monkeypatch, leaf
+    ):
+        # the matrix of test_min_samples_leaf_at_the_two_valued_boundary,
+        # grown on all of its rows (no bootstrap) through the engine
+        n = 24
+        rng = np.random.default_rng(leaf)
+        first = np.ones(n)
+        first[[4, 9, 17]] = 0.0
+        second = np.zeros(n)
+        second[[2, 11, 20]] = 7.5
+        X = np.column_stack([first, second, rng.normal(size=n)])
+        y = np.zeros(n, dtype=int)
+        y[[4, 9, 17]] = 1
+        y[[2, 11, 20]] = 2
+        params = dict(max_depth=None, min_samples_leaf=leaf, random_state=0)
+        engine_tree = DecisionTreeClassifier(**params)
+
+        def grow():
+            _Lockstep(X, y, 3).grow([engine_tree], [np.arange(n)])
+
+        searched = self.check_every_cart_node(monkeypatch, grow)
+        with kernel_disabled():
+            reference = DecisionTreeClassifier(**params).fit(X, y)
+        assert_same_tree(engine_tree, reference)
+        assert searched[0] == n
+        forest = dict(n_estimators=8, min_samples_leaf=leaf, max_features=2, random_state=leaf)
+        self.check_every_cart_node(
+            monkeypatch, lambda: RandomForestClassifier(**forest).fit(X, y)
+        )
+
+    def test_lockstep_honours_the_block_budget(self, monkeypatch):
+        import repro.ml.tree as tree_module
+
+        X, y = adversarial_matrix(seed=7)
+        params = dict(n_estimators=4, max_depth=None, max_features=None, random_state=2)
+        one_block = RandomForestClassifier(**params).fit(X, y)
+        monkeypatch.setattr(tree_module, "_SPLIT_BLOCK_ELEMENTS", 64)
+        budget_rows = 64 // 3
+        chunks: list[tuple[int, int]] = []
+        original = tree_module._lane_chunks
+
+        def recorded(lanes, sizes, budget):
+            assert budget == budget_rows
+            for chunk in original(lanes, sizes, budget):
+                chunks.append((len(chunk), int(sizes[chunk].sum())))
+                yield chunk
+
+        monkeypatch.setattr(tree_module, "_lane_chunks", recorded)
+        fitted = []
+        self.check_every_cart_node(
+            monkeypatch,
+            lambda: fitted.append(RandomForestClassifier(**params).fit(X, y)),
+        )
+        assert all(rows <= budget_rows or lanes == 1 for lanes, rows in chunks)
+        assert any(lanes > 1 for lanes, _ in chunks)
+        assert any(rows > budget_rows for _, rows in chunks)
+        self.assert_same_forest(fitted[0], one_block)
 
     def test_gbt_adversarial_columns(self, monkeypatch):
         X, y = adversarial_matrix(seed=3)
