@@ -202,14 +202,18 @@ def command_run(args) -> int:
             search_iters=args.search_iters, fdr_procedure=args.fdr,
         )
     else:
-        config = StudyConfig(
-            n_splits=args.splits,
-            cv_folds=args.cv_folds,
-            models=tuple(args.models) if args.models else MODEL_NAMES,
-            seed=args.seed,
-            search_iters=args.search_iters,
-            fdr_procedure=args.fdr,
-        )
+        try:
+            config = StudyConfig(
+                n_splits=args.splits,
+                cv_folds=args.cv_folds,
+                models=tuple(args.models) if args.models else MODEL_NAMES,
+                seed=args.seed,
+                search_iters=args.search_iters,
+                fdr_procedure=args.fdr,
+            )
+        except ValueError as error:
+            diagnostic(f"error: {error}")
+            return 2
 
     overrides = {"n_rows": args.rows} if args.rows else {}
     if args.all_datasets:

@@ -18,7 +18,8 @@ hence identical flags, database rows, and persisted JSON) for every
   the split index, not the execution order, enters ``derive_seed``;
 * the dirty-side models of a split are trained once *within* its task
   and shared across cleaning methods, exactly as the sequential runner
-  shares them;
+  shares them — a split task *is* the sequential runner's
+  :meth:`~repro.core.runner.ErrorTypeRun.run_split`;
 * the merge sorts results by split index and is keyed by spec tuple, so
   worker completion order never reaches the output.
 
@@ -30,10 +31,12 @@ the same tables is gone.
 
 Two-level scheduling
 --------------------
-A split task can itself decompose into sub-units when a study has
-fewer splits than the machine has cores: ``granularity="cell"``
-schedules one sub-unit per (cleaning method, model) cell of each split,
-and ``granularity="fold"`` additionally fans each cell's
+A split runs as (cleaning method, model) cells reduced by
+:func:`~repro.core.runner.merge_cell_results` at every granularity; a
+split task runs its cells in order in one process.  When a study has
+fewer splits than the machine has cores the cells can be scheduled
+instead: ``granularity="cell"`` makes each cell of each split a
+sub-unit, and ``granularity="fold"`` additionally fans each cell's
 cross-validation out one fold per sub-unit (scored first, in a wave
 whose winners the second wave's cells fit directly).  Sub-units run on
 the same pool with work-stealing; each worker shares per-split state —
@@ -773,11 +776,10 @@ def _run_sub_split(
     }
 
     # enumerate pending cells per split; splits whose cells are already
-    # all in the ledger reduce immediately, and blocks with no methods
-    # degrade to split-level tasks (a cell decomposition needs a grid)
+    # all in the ledger — or that have none, in a block with no
+    # methods — reduce immediately
     pending_cells: dict[TaskKey, list[tuple[int, str]]] = {}
     collected: dict[TaskKey, dict[tuple[int, str], CellResult]] = {}
-    split_level: list[TaskKey] = []
 
     def finish_split(key: TaskKey) -> None:
         names = method_names[key[:2]]
@@ -788,6 +790,7 @@ def _run_sub_split(
                 config.models,
                 len(names),
                 list(collected[key].values()),
+                split=key[2],
             ),
         )
 
@@ -801,9 +804,6 @@ def _run_sub_split(
                 for index in range(len(names))
                 for model in config.models
             ]
-            if not specs:
-                split_level.append(task.key)
-                continue
             have = {
                 spec: cells_done[task.key + spec]
                 for spec in specs
@@ -819,7 +819,7 @@ def _run_sub_split(
 
     # splits fully satisfied by resumed cells never reach the pool
     for key in list(collected):
-        if key not in pending_cells and key not in split_level:
+        if key not in pending_cells:
             finish_split(key)
 
     with _supervised(jobs, blocks, by_block, config, sup_config, manifest) as sup:
@@ -829,8 +829,6 @@ def _run_sub_split(
                 sup, config, method_names, pending_cells, manifest
             )
 
-        for key in split_level:
-            sup.submit("split", key, _execute_registered, (key,))
         cell_total: dict[TaskKey, int] = {}
         for key, specs in pending_cells.items():
             cell_total[key] = len(collected[key]) + len(specs)

@@ -19,6 +19,15 @@ runner shares work aggressively: dirty-side models are trained once per
 split and reused across every cleaning method, exactly as the semantics
 allow.
 
+The protocol has one implementation.  A split is a grid of (cleaning
+method, model) *cells* (:meth:`SplitWorkspace.cell`), each recording
+its models' validation scores and R1 pairs, and
+:func:`merge_cell_results` is the single reducer that turns a split's
+cells into its :class:`SplitResult` — R2 and R3 are selected there from
+the R1 ingredients.  :meth:`ErrorTypeRun.run_split` runs the cells in
+order on one workspace; the executor's cell and fold granularities
+scatter the same cells across workers and feed the same reducer.
+
 Splits are independent — every random draw is seeded by
 :func:`derive_seed` on inputs that include the split index but never
 any cross-split state — so :meth:`ErrorTypeRun.run_split` doubles as
@@ -47,10 +56,11 @@ and this module eliminates it without changing a single bit of output:
 * every evaluation table is encoded **once per training encoder** (the
   :class:`EncodedTable` memoizes test encodings by table identity);
 * every ``(model, table)`` evaluation is scored **once** — an
-  :class:`_EvalMemo` caches the metric, so R2's best-model pairs and
-  CD's repeated ``clean_model.evaluate(clean_test)`` reuse predictions
-  R1 already computed (``evaluate`` is a pure function of the fitted
-  model and the table);
+  :class:`_EvalMemo` caches the metric, so CD's repeated
+  ``clean_model.evaluate(clean_test)`` reuses the prediction BD already
+  computed (``evaluate`` is a pure function of the fitted model and
+  the table), and R2 needs no evaluation at all: the reducer composes
+  its pairs from the R1 floats;
 * hyper-parameter tuning iterates **fold-major** — each CV fold's
   ``(X_train, y_train, X_val, y_val)`` slices are materialized once per
   search (:class:`~repro.ml.cv_kernel.FoldPlanData`) and per-model
@@ -212,6 +222,13 @@ class StudyConfig:
         object.__setattr__(
             self, "model_overrides", _freeze_overrides(self.model_overrides)
         )
+        # a split's cells are keyed by model name, and R2 selects a best
+        # model per side: neither means anything without distinct models
+        if not self.models:
+            raise ValueError("models must name at least one model")
+        repeated = sorted({n for n in self.models if self.models.count(n) > 1})
+        if repeated:
+            raise ValueError(f"models must be distinct, got repeats of {repeated}")
         if self.granularity not in GRANULARITIES:
             raise ValueError(
                 f"granularity must be one of {GRANULARITIES}, "
@@ -278,12 +295,11 @@ class SplitResult:
 
     The unit of work of the parallel executor: splits are independent by
     construction (every seed derives from the split index), so a study
-    decomposes into one :class:`SplitResult` per split per block.  Each
-    relation maps its spec key — the same tuples
-    :meth:`ErrorTypeRun.accumulate` uses — to the list of
-    :class:`MetricPair`s this split contributes (one per method that
-    produces the key: usually a single pair, several when distinct
-    methods share a (detection, repair) label):
+    decomposes into one :class:`SplitResult` per split per block, each
+    built by :func:`merge_cell_results`.  Each relation maps its spec
+    key to the list of :class:`MetricPair`s this split contributes (one
+    per method that produces the key: usually a single pair, several
+    when distinct methods share a (detection, repair) label):
 
     * ``r1`` keyed ``(detection, repair, model, scenario)``;
     * ``r2`` keyed ``(detection, repair, scenario)``;
@@ -304,24 +320,24 @@ class SplitResult:
 class CellResult:
     """Everything one (split, method, model) cell contributes to a study.
 
-    The sub-split unit of work of the two-level executor: a cell trains
-    the dirty-side and cleaned-side models of one ``(cleaning method,
-    model)`` pair within one split and records their validation scores
-    plus the per-scenario R1 metric pair.  That is *sufficient* to
-    reassemble the whole split: the R2 pair of a method is composed of
-    R1 ingredients (the best dirty model's before-score and the best
-    clean model's after-score are exactly the floats the corresponding
-    R1 cells computed — the sequential runner's evaluation memo returns
-    the very same values), and R3 selects among the R2 pairs by the
+    The unit every granularity runs a split as (and the sub-split unit
+    of work of the two-level executor): a cell trains the dirty-side
+    and cleaned-side models of one ``(cleaning method, model)`` pair
+    within one split and records their validation scores plus the
+    per-scenario R1 metric pair.  That is *sufficient* to assemble the
+    whole split: the R2 pair of a method is composed of R1 ingredients
+    (the best dirty model's before-score and the best clean model's
+    after-score are exactly the floats the corresponding R1 cells
+    computed), and R3 selects among the R2 pairs by the
     ``clean_val_score`` recorded here.  :func:`merge_cell_results`
-    performs that reassembly deterministically.
+    performs that reduction deterministically.
 
     ``method_index`` is the method's position in the split's method
-    iteration order — the sort key that keeps reassembled pair lists in
-    the sequential runner's order even when two methods share a
-    (detection, repair) label.  Instances are plain data (picklable and
-    JSON-serializable) so they can cross the process-pool boundary and
-    live in checkpoint ledgers.
+    iteration order — the sort key that keeps reduced pair lists in
+    method order even when two methods share a (detection, repair)
+    label.  Instances are plain data (picklable and JSON-serializable)
+    so they can cross the process-pool boundary and live in checkpoint
+    ledgers.
     """
 
     split: int
@@ -498,10 +514,10 @@ class _EvalMemo:
     Keyed on ``(model, table)`` identity: ``evaluate`` is a pure
     function of the fitted model and the evaluation table, so the first
     score computed for a pair is the score every later request would
-    recompute — this is what lets R2's best-model pairs and the CD
-    scenario's repeated ``clean_model.evaluate(clean_test)`` reuse R1's
-    predictions.  Entries keep strong references to both objects so the
-    ``id()`` keys stay valid for the memo's lifetime.
+    recompute — this is what lets the CD scenario's repeated
+    ``clean_model.evaluate(clean_test)`` reuse BD's prediction.  Entries
+    keep strong references to both objects so the ``id()`` keys stay
+    valid for the memo's lifetime.
     """
 
     def __init__(self, enabled: bool = True) -> None:
@@ -654,7 +670,7 @@ def scenarios_for(error_type: str) -> tuple[Scenario, ...]:
 
 
 class ErrorTypeRun:
-    """One dataset x one error type: fills R1/R2/R3 accumulators."""
+    """One dataset x one error type: the block whose splits yield R1/R2/R3."""
 
     def __init__(
         self,
@@ -683,44 +699,45 @@ class ErrorTypeRun:
             )
         else:
             self.positive = None
-        # accumulators: spec key -> list of MetricPair
-        self._r1: dict[tuple, list[MetricPair]] = {}
-        self._r2: dict[tuple, list[MetricPair]] = {}
-        self._r3: dict[tuple, list[MetricPair]] = {}
 
     # -- public API ----------------------------------------------------------
 
     def run(self) -> list[RawExperiment]:
         """Execute all splits sequentially and return the raw experiments."""
-        for split in range(self.config.n_splits):
-            self.accumulate(self.run_split(split))
-        return self.collect()
+        return merge_split_results(
+            self.dataset.name,
+            self.error_type,
+            [self.run_split(split) for split in range(self.config.n_splits)],
+        )
 
     def run_split(self, split: int) -> SplitResult:
         """Execute one split and return its metric pairs (no mutation).
 
-        This is the parallel executor's task body: every random draw is
-        seeded by :func:`derive_seed` on ``(config.seed, dataset, ...,
-        split)``, so the result is a pure function of the split index and
-        identical whether splits run in-process, out of order, or in
-        separate worker processes.
+        This is the split-granularity task body of the parallel
+        executor: every random draw is seeded by :func:`derive_seed` on
+        ``(config.seed, dataset, ..., split)``, so the result is a pure
+        function of the split index and identical whether splits run
+        in-process, out of order, or in separate worker processes.
+
+        The split runs as its cells, method-major and in
+        ``config.models`` order, on one :class:`SplitWorkspace`, and
+        :func:`merge_cell_results` reduces them — the very units and
+        reducer the cell and fold granularities schedule.  Each method's
+        state is released once its cells are done, so peak memory is
+        one method's footprint rather than the whole split's.
         """
-        return self._run_split(split)
-
-    def accumulate(self, result: SplitResult) -> None:
-        """Merge one split's pairs into the R1/R2/R3 accumulators.
-
-        Results must be accumulated in ascending split order so the
-        pair tuples (and hence t-tests and persisted JSON) match the
-        sequential run exactly; :func:`merge_split_results` sorts for
-        callers that receive results out of order.
-        """
-        _accumulate_split(self._r1, self._r2, self._r3, result)
-
-    def collect(self) -> list[RawExperiment]:
-        """Raw experiments from everything accumulated so far."""
-        return collect_experiments(
-            self.dataset.name, self.error_type, self._r1, self._r2, self._r3
+        workspace = SplitWorkspace(self, split)
+        n_methods = len(workspace.methods())
+        cells = []
+        for index in range(n_methods):
+            cells.extend(workspace.cell(index, name) for name in self.config.models)
+            workspace.release_method(index)
+        # the split's method iteration is over: no future detect() can hit
+        # these entries (they key on this split's tables), so release the
+        # detectors and the raw tables they pin
+        workspace.dcache.clear()
+        return merge_cell_results(
+            self.error_type, self.config.models, n_methods, cells, split=split
         )
 
     # -- internals ------------------------------------------------------------
@@ -766,130 +783,6 @@ class ErrorTypeRun:
         if _KERNEL_ENABLED:
             return EncodedTable(train, self.labeler, label_cache=label_cache)
         return train
-
-    def _run_split(self, split: int) -> SplitResult:
-        config = self.config
-        split_seed = derive_seed(config.seed, self.dataset.name, self.error_type, split)
-        raw_train, raw_test = train_test_split(
-            self.dataset.dirty, test_ratio=config.test_ratio, seed=split_seed
-        )
-
-        # one detection cache per split: detectors (and their detections
-        # of raw_train / raw_test) are shared by every method that
-        # carries an equal detector fingerprint — the dirty baseline's
-        # missing-row detection, for instance, is the same one all seven
-        # imputation repairs consume
-        dcache = DetectionCache(
-            enabled=_KERNEL_ENABLED and _DETECTION_CACHE_ENABLED
-        )
-        baseline = dirty_baseline(self.error_type)
-        _bind_detection_cache(baseline, dcache)
-        baseline.fit(raw_train)
-        dirty_train = baseline.transform(raw_train)
-
-        memo = _EvalMemo(enabled=_KERNEL_ENABLED)
-        label_cache: dict = {}
-        dirty_source = self._encode_once(dirty_train, label_cache)
-        dirty_models = {
-            name: self._train(dirty_source, name, "dirty", split)
-            for name in config.models
-        }
-        best_dirty = max(dirty_models.values(), key=lambda m: m.val_score)
-
-        r1: dict[tuple, list[MetricPair]] = {}
-        r2: dict[tuple, list[MetricPair]] = {}
-        r3: dict[tuple, list[MetricPair]] = {}
-        best_method_score: dict[Scenario, float] = {}
-        best_method_pair: dict[Scenario, MetricPair] = {}
-        best_method_name: dict[Scenario, str] = {}
-
-        for method in self._fresh_methods():
-            _bind_detection_cache(method, dcache)
-            method.fit(raw_train)
-            clean_train = method.transform(raw_train)
-            clean_test = method.transform(raw_test)
-
-            clean_source = self._encode_once(clean_train, label_cache)
-            clean_models = {
-                name: self._train(
-                    clean_source, name, f"clean:{method.name}", split
-                )
-                for name in config.models
-            }
-            best_clean = max(clean_models.values(), key=lambda m: m.val_score)
-
-            for scenario in scenarios_for(self.error_type):
-                # R1: one row per model
-                for name in config.models:
-                    pair = self._metric_pair(
-                        scenario,
-                        dirty_model=dirty_models[name],
-                        clean_model=clean_models[name],
-                        raw_test=raw_test,
-                        clean_test=clean_test,
-                        memo=memo,
-                    )
-                    key = (method.detection, method.repair, name, scenario)
-                    r1.setdefault(key, []).append(pair)
-
-                # R2: best models on each side — the memo resolves these
-                # against the predictions the R1 loop just computed
-                pair = self._metric_pair(
-                    scenario,
-                    dirty_model=best_dirty,
-                    clean_model=best_clean,
-                    raw_test=raw_test,
-                    clean_test=clean_test,
-                    memo=memo,
-                )
-                r2.setdefault((method.detection, method.repair, scenario), []).append(pair)
-
-                # R3 candidate: this method's best validated model
-                if (
-                    scenario not in best_method_score
-                    or best_clean.val_score > best_method_score[scenario]
-                ):
-                    best_method_score[scenario] = best_clean.val_score
-                    best_method_pair[scenario] = pair
-                    best_method_name[scenario] = method.name
-
-            # every memo/cache key involves a per-method object (this
-            # method's clean models or tables), so nothing evicted here
-            # could ever hit again — releasing now keeps peak memory at
-            # one method's footprint instead of the whole split's
-            memo.clear()
-            if isinstance(dirty_source, EncodedTable):
-                dirty_source.discard(clean_test)
-
-        # the split's method iteration is over: no future detect() can hit
-        # these entries (they key on this split's tables), so release the
-        # detectors and the raw tables they pin
-        dcache.clear()
-
-        for scenario, pair in best_method_pair.items():
-            r3.setdefault((scenario,), []).append(pair)
-        return SplitResult(split=split, r1=r1, r2=r2, r3=r3)
-
-    def _metric_pair(
-        self,
-        scenario: Scenario,
-        dirty_model: TrainedModel,
-        clean_model: TrainedModel,
-        raw_test: Table,
-        clean_test: Table,
-        memo: _EvalMemo,
-    ) -> MetricPair:
-        if scenario is Scenario.BD:
-            # case B vs case D: both models on the cleaned test set
-            return MetricPair(
-                before=memo.evaluate(dirty_model, clean_test),
-                after=memo.evaluate(clean_model, clean_test),
-            )
-        # CD: the cleaned-train model on dirty vs cleaned test (C vs D)
-        return MetricPair(
-            before=memo.evaluate(clean_model, raw_test),
-            after=memo.evaluate(clean_model, clean_test),
-        )
 
 
 # -- sub-split work units (two-level executor) -------------------------------
@@ -975,9 +868,11 @@ def resolve_fold_scores(
 
 
 class SplitWorkspace:
-    """Per-(block, split) state shared by sub-split work units.
+    """Per-(block, split) state shared by the cells of one split.
 
-    The two-level executor schedules (method, model) cells — and
+    Every granularity runs a split as (method, model) cells on
+    workspaces: :meth:`ErrorTypeRun.run_split` runs all of them in order
+    on one workspace, and the two-level executor schedules them — and
     optionally the CV folds inside them — as independent tasks.  A cell
     needs the split's 70/30 partition, the baseline transform, detector
     fits, shared encodings, and the dirty-side model of its model name;
@@ -991,12 +886,14 @@ class SplitWorkspace:
 
     The split-level :class:`~repro.cleaning.base.DetectionCache` and
     evaluation memo live here with per-workspace scope: within one
-    worker's batch they deduplicate exactly as the sequential runner's
-    per-split instances do, and across workers they are rebuilt
-    identically because detections and evaluations are pure.  Unlike the
-    sequential path (which evicts per method), a workspace retains its
-    split's method state until the executor drops the workspace, so peak
-    worker memory is one split's footprint.
+    workspace they deduplicate detector fits and evaluations across the
+    cells it serves, and across workers they are rebuilt identically
+    because detections and evaluations are pure.  ``run_split`` calls
+    :meth:`release_method` after each method's cells, so its peak
+    memory is one method's footprint; the executor's scattered
+    sub-units cannot know when a method is done, so a worker's
+    workspace keeps its split's method state until the executor drops
+    the workspace, and peak worker memory is one split's footprint.
 
     Rebuilds are cheap on the columnar core: ``train_test_split``
     produces zero-copy view tables over the dataset's buffers, and the
@@ -1016,6 +913,11 @@ class SplitWorkspace:
         self.raw_train, self.raw_test = train_test_split(
             run.dataset.dirty, test_ratio=config.test_ratio, seed=split_seed
         )
+        # one detection cache per split: detectors (and their detections
+        # of raw_train / raw_test) are shared by every method that
+        # carries an equal detector fingerprint — the dirty baseline's
+        # missing-row detection, for instance, is the same one all seven
+        # imputation repairs consume
         self.dcache = DetectionCache(
             enabled=_KERNEL_ENABLED and _DETECTION_CACHE_ENABLED
         )
@@ -1026,7 +928,6 @@ class SplitWorkspace:
         self.memo = _EvalMemo(enabled=_KERNEL_ENABLED)
         self.label_cache: dict = {}
         self.dirty_source = run._encode_once(dirty_train, self.label_cache)
-        self._dirty_train = dirty_train
         self._methods: list[CleaningMethod] | None = None
         #: method index -> (fitted method, clean training source)
         self._method_data: dict[int, tuple] = {}
@@ -1108,17 +1009,7 @@ class SplitWorkspace:
         dirty = self.dirty_model(name, tuned=tuned_dirty)
         clean = self.clean_model(index, name, tuned=tuned_clean)
         pairs = tuple(
-            (
-                scenario,
-                self.run._metric_pair(
-                    scenario,
-                    dirty_model=dirty,
-                    clean_model=clean,
-                    raw_test=self.raw_test,
-                    clean_test=clean_test,
-                    memo=self.memo,
-                ),
-            )
+            (scenario, self._metric_pair(scenario, dirty, clean, clean_test))
             for scenario in scenarios_for(self.run.error_type)
         )
         return CellResult(
@@ -1132,6 +1023,45 @@ class SplitWorkspace:
             clean_val_score=clean.val_score,
             pairs=pairs,
         )
+
+    def _metric_pair(
+        self,
+        scenario: Scenario,
+        dirty_model: TrainedModel,
+        clean_model: TrainedModel,
+        clean_test: Table,
+    ) -> MetricPair:
+        if scenario is Scenario.BD:
+            # case B vs case D: both models on the cleaned test set
+            return MetricPair(
+                before=self.memo.evaluate(dirty_model, clean_test),
+                after=self.memo.evaluate(clean_model, clean_test),
+            )
+        # CD: the cleaned-train model on dirty vs cleaned test (C vs D)
+        return MetricPair(
+            before=self.memo.evaluate(clean_model, self.raw_test),
+            after=self.memo.evaluate(clean_model, clean_test),
+        )
+
+    def release_method(self, index: int) -> None:
+        """Drop everything one method's cells built; they will not run again.
+
+        That is the fitted method and its clean training source, its
+        cleaned test table (and the dirty encoder's cached encoding of
+        it), its clean models and fold encoding, and the evaluation
+        memo.  Every memo entry pairs a model with a cleaned test table
+        or pins a clean model, so each belongs to one method: nothing
+        released here could ever hit again, and releasing after each
+        method keeps peak memory at one method's footprint.
+        """
+        self._method_data.pop(index, None)
+        clean_test = self._clean_tests.pop(index, None)
+        for name in self.run.config.models:
+            self._clean_models.pop((index, name), None)
+        self._role_encodings.pop(index, None)
+        self.memo.clear()
+        if clean_test is not None and isinstance(self.dirty_source, EncodedTable):
+            self.dirty_source.discard(clean_test)
 
     # -- fold sub-units -------------------------------------------------------
 
@@ -1221,33 +1151,38 @@ def merge_cell_results(
     models: tuple[str, ...],
     n_methods: int,
     cells: list[CellResult],
+    split: int | None = None,
 ) -> SplitResult:
-    """Deterministic reassembly of one split from its cell results.
+    """Deterministic reduction of one split's cell results.
 
-    Cells may arrive in any order (workers complete nondeterministically);
-    sorting by (method index, model order) before accumulating makes the
-    merge a pure function of the cell *set* and reproduces the exact
-    accumulator insertion order of :meth:`ErrorTypeRun._run_split` —
-    method-major, then scenario, then model — so the resulting
-    :class:`SplitResult` is bit-identical to the one the split-level task
-    computes:
+    The only code that builds a :class:`SplitResult`: every granularity
+    runs a split as cells and reduces them here.  Cells may arrive in
+    any order (workers complete nondeterministically); sorting by
+    (method index, model order) before accumulating makes the reduction
+    a pure function of the cell *set*, with relation entries inserted
+    method-major, then scenario, then model:
 
     * **R1** pairs are the cells' own pairs;
     * **R2** composes each method's pair from R1 ingredients — the best
       dirty model's before-score and the best clean model's after-score
-      are exactly the floats those models' R1 cells recorded (this is the
-      identity the sequential runner's evaluation memo exploits);
+      are exactly the floats those models' R1 cells recorded;
     * **R3** selects among R2 pairs by the recorded ``clean_val_score``,
       first-strictly-better in method order.
 
     Best-model selection replicates ``max()``'s tie rule (the earliest
-    model in ``config.models`` order wins ties).  The method-independent
-    dirty validation scores are recomputed by every method's cells, so
-    their agreement is asserted as a free determinism check.
+    model in ``models`` order wins ties).  The method-independent dirty
+    validation scores are recomputed by every method's cells, so their
+    agreement is asserted as a free determinism check.
+
+    ``split`` names the split being reduced; cells of any other split
+    are rejected.  It is needed when a block has no cleaning methods:
+    the empty cell set then reduces to an empty result for that split.
     """
     order = {name: position for position, name in enumerate(models)}
     cells = sorted(cells, key=lambda c: (c.method_index, order[c.model]))
     splits = {cell.split for cell in cells}
+    if split is not None:
+        splits.add(split)
     if len(splits) != 1:
         raise ValueError(
             f"cell results span multiple splits: {sorted(splits)}"
@@ -1271,6 +1206,11 @@ def merge_cell_results(
             f"x models {models}, got "
             f"{ {index: sorted(row) for index, row in by_method.items()} }"
         )
+    r1: dict[tuple, list[MetricPair]] = {}
+    r2: dict[tuple, list[MetricPair]] = {}
+    r3: dict[tuple, list[MetricPair]] = {}
+    if not by_method:
+        return SplitResult(split=split, r1=r1, r2=r2, r3=r3)
 
     first_row = by_method[0]
     for row in by_method.values():
@@ -1301,9 +1241,6 @@ def merge_cell_results(
     best_dirty = best_model(
         {name: first_row[name].dirty_val_score for name in models}
     )
-    r1: dict[tuple, list[MetricPair]] = {}
-    r2: dict[tuple, list[MetricPair]] = {}
-    r3: dict[tuple, list[MetricPair]] = {}
     best_method_score: dict[Scenario, float] = {}
     best_method_pair: dict[Scenario, MetricPair] = {}
     for index in range(n_methods):
@@ -1338,23 +1275,6 @@ def merge_cell_results(
     for scenario, pair in best_method_pair.items():
         r3.setdefault((scenario,), []).append(pair)
     return SplitResult(split=split, r1=r1, r2=r2, r3=r3)
-
-
-def _accumulate_split(
-    r1: dict[tuple, list[MetricPair]],
-    r2: dict[tuple, list[MetricPair]],
-    r3: dict[tuple, list[MetricPair]],
-    result: SplitResult,
-) -> None:
-    """Extend the accumulators with one split's pairs.
-
-    The single accumulation routine both the sequential runner and the
-    parallel merge use — sharing it is what keeps their pair ordering
-    (and hence the bit-identity guarantee) from silently diverging.
-    """
-    for target, source in ((r1, result.r1), (r2, result.r2), (r3, result.r3)):
-        for key, pairs in source.items():
-            target.setdefault(key, []).extend(pairs)
 
 
 def collect_experiments(
@@ -1422,7 +1342,8 @@ def merge_split_results(
     Results may arrive in any order (parallel workers complete
     nondeterministically); sorting by split index before accumulation
     makes the merge a pure function of the result *set*, so the output
-    is bit-identical to the sequential runner's.
+    is bit-identical to :meth:`ErrorTypeRun.run`'s, which merges its
+    splits here too.
     """
     ordered = sorted(results, key=lambda result: result.split)
     seen = [result.split for result in ordered]
@@ -1435,5 +1356,7 @@ def merge_split_results(
     r2: dict[tuple, list[MetricPair]] = {}
     r3: dict[tuple, list[MetricPair]] = {}
     for result in ordered:
-        _accumulate_split(r1, r2, r3, result)
+        for target, source in ((r1, result.r1), (r2, result.r2), (r3, result.r3)):
+            for key, pairs in source.items():
+                target.setdefault(key, []).extend(pairs)
     return collect_experiments(dataset, error_type, r1, r2, r3)

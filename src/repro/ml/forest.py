@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import Classifier, check_fit_inputs
-from .tree import DecisionTreeClassifier, RootSortWorkspace, _Lockstep
+from .tree import DecisionTreeClassifier, _Lockstep
 
 
 class RandomForestClassifier(Classifier):
@@ -40,12 +40,7 @@ class RandomForestClassifier(Classifier):
         self.max_features = max_features
         self.random_state = random_state
 
-    def fit(
-        self,
-        X: np.ndarray,
-        y: np.ndarray,
-        root_sort_cache: dict | None = None,
-    ) -> "RandomForestClassifier":
+    def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestClassifier":
         """Fit the forest, growing every tree in lockstep.
 
         Tree ``i`` is grown on bootstrap draw ``i`` with its own seed,
@@ -58,11 +53,6 @@ class RandomForestClassifier(Classifier):
 
         Under ``kernel_disabled()`` each tree is fitted on its own
         resampled matrix through the reference split search instead.
-        Only that path reads ``root_sort_cache``: it nests one sub-cache
-        per ``(random_state, tree index)``, valid because the bootstrap
-        draws are a pure function of ``random_state``, so tree ``i`` of
-        every search candidate with that seed sees the same matrix.  An
-        unseeded forest opts out.
         """
         X, y, n_classes = check_fit_inputs(X, y)
         self.n_classes_ = n_classes
@@ -84,18 +74,8 @@ class RandomForestClassifier(Classifier):
         if DecisionTreeClassifier.vectorized_split:
             _Lockstep(X, y, n_classes).grow(self.estimators_, bootstraps)
             return self
-        for index, (tree, bootstrap) in enumerate(zip(self.estimators_, bootstraps)):
-            tree_cache = None
-            if root_sort_cache is not None and self.random_state is not None:
-                tree_cache = root_sort_cache.setdefault(
-                    (self.random_state, index), {}
-                )
-            tree.fit(
-                X[bootstrap],
-                y[bootstrap],
-                n_classes=n_classes,
-                root_sort_cache=tree_cache,
-            )
+        for tree, bootstrap in zip(self.estimators_, bootstraps):
+            tree.fit(X[bootstrap], y[bootstrap], n_classes=n_classes)
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
@@ -104,6 +84,3 @@ class RandomForestClassifier(Classifier):
         for tree in self.estimators_:
             total += tree.predict_proba(X)
         return total / len(self.estimators_)
-
-    def make_fold_workspace(self, X_train, y_train, X_val):
-        return RootSortWorkspace(X_train, y_train, X_val)

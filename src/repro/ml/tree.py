@@ -501,14 +501,12 @@ class RootSortWorkspace(FoldWorkspace):
     One lazily-filled cache dict rides through every candidate's
     ``fit(..., root_sort_cache=...)``: AdaBoost threads it
     (``feature -> argsort`` of the fold's training matrix) into every
-    boosting round (all stumps fit the full matrix); XGBoost into every
-    round and class; the random forest, on its reference path only,
-    nests per-tree sub-caches keyed by ``(random_state, tree index)``,
-    valid because its bootstrap draws are a pure function of
-    ``random_state`` and so identical across candidates (its lockstep
-    engine sorts nothing per node).  Candidate hyper-parameters (depth,
-    leaf sizes, learning rate, sample weights) never influence a root
-    argsort, so reuse is bit-exact.
+    boosting round (all stumps fit the full matrix), XGBoost into every
+    round and class.  Candidate hyper-parameters (depth, leaf sizes,
+    learning rate, sample weights) never influence a root argsort, so
+    reuse is bit-exact.  The random forest has no workspace: its
+    lockstep engine sorts nothing per node, and each tree fits its own
+    bootstrap matrix.
     """
 
     def __init__(self, X_train, y_train, X_val) -> None:

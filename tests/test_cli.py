@@ -73,6 +73,13 @@ class TestCommands:
     def test_run_unknown_dataset(self, capsys):
         assert main(["run", "MNIST", "outliers"]) == 2
 
+    def test_run_repeated_model_is_a_usage_error(self, capsys):
+        code = main(
+            ["run", "Sensor", "outliers", "--models", "knn", "knn"]
+        )
+        assert code == 2
+        assert "distinct" in capsys.readouterr().err
+
     def test_run_skips_missing_error_type(self, capsys):
         code = main(
             ["run", "Sensor", "duplicates", "--splits", "2", "--rows", "150"]

@@ -43,6 +43,23 @@ class TestScenarios:
         assert scenarios_for(OUTLIERS) == (Scenario.BD, Scenario.CD)
 
 
+class TestStudyConfigModels:
+    """The model pool is validated once, before any granularity runs it."""
+
+    def test_empty_model_pool_rejected(self):
+        with pytest.raises(ValueError, match="at least one model"):
+            StudyConfig(models=())
+
+    @pytest.mark.parametrize("granularity", ("split", "cell"))
+    def test_repeated_model_rejected(self, granularity):
+        # a repeat used to finish at split granularity and die at cell
+        # granularity; the config now refuses it whatever the granularity
+        with pytest.raises(ValueError, match="distinct"):
+            StudyConfig(
+                models=("naive_bayes", "naive_bayes"), granularity=granularity
+            )
+
+
 class TestErrorTypeRun:
     def test_rejects_mismatched_error_type(self):
         dataset = load_dataset("Sensor", seed=0, n_rows=220)

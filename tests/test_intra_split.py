@@ -125,6 +125,42 @@ class TestDeterminismMatrix:
             make_study().run(n_jobs=1, granularity="model")
 
 
+def make_method_free_study():
+    """A block with no cleaning methods next to an ordinary one."""
+    study = CleanMLStudy(FAST)
+    study.add(load_dataset("Sensor", seed=0, n_rows=140), OUTLIERS, methods=[])
+    study.add(
+        load_dataset("Titanic", seed=0, n_rows=140),
+        MISSING_VALUES,
+        methods=[ImputationCleaning("mean", "mode")],
+    )
+    return study
+
+
+@pytest.fixture(scope="module")
+def method_free_reference(tmp_path_factory):
+    study = make_method_free_study()
+    study.run(n_jobs=1, granularity="split")
+    assert study.raw_experiments
+    assert all(
+        experiment.dataset == "Titanic" for experiment in study.raw_experiments
+    )
+    return persisted_bytes(study, tmp_path_factory.mktemp("free"), "reference")
+
+
+class TestMethodFreeBlocks:
+    """A block with an empty method list runs, and yields nothing, anywhere."""
+
+    @pytest.mark.parametrize("granularity", GRANULARITIES)
+    @pytest.mark.parametrize("n_jobs", (1, 2))
+    def test_persisted_json_is_identical(
+        self, n_jobs, granularity, method_free_reference, tmp_path
+    ):
+        study = make_method_free_study()
+        study.run(n_jobs=n_jobs, granularity=granularity)
+        assert persisted_bytes(study, tmp_path, "run") == method_free_reference
+
+
 class TestSubUnitSeeds:
     """Sub-unit seed inputs are collision-free over the full paper grid.
 
@@ -251,14 +287,68 @@ class TestCacheSemantics:
         )
 
     def test_cells_reduce_to_the_split_result(self):
-        """merge_cell_results(cells) == run_split, bit for bit."""
+        """Scattered cells, reduced in reverse order, == run_split.
+
+        ``run_split`` runs the cells in order on one shared workspace;
+        here every cell gets a fresh workspace and the reducer sees them
+        last-first, so agreement needs both the scatter invariance and
+        the reducer's order independence.
+        """
         run, n_methods = self.build_run()
-        workspace = SplitWorkspace(run, split=1)
+        cells = run_block_cells(
+            lambda index, model: SplitWorkspace(run, split=1),
+            run,
+            FAST,
+            n_methods,
+        )
+        reduced = merge_cell_results(
+            OUTLIERS, FAST.models, n_methods, cells[::-1]
+        )
+        assert reduced == run.run_split(1)
+
+    def test_release_method_drops_the_methods_state(self):
+        run, n_methods = self.build_run()
+        workspace = SplitWorkspace(run, split=0)
+        for index in range(n_methods):
+            for model in FAST.models:
+                workspace.cell(index, model)
+            workspace.fold_scores(index, FAST.models[0], 0)
+        clean_test = workspace.clean_test(0)
+        assert id(clean_test) in workspace.dirty_source._eval_cache
+        assert workspace.memo._entries
+
+        workspace.release_method(0)
+        assert 0 not in workspace._method_data
+        assert 0 not in workspace._clean_tests
+        assert 0 not in workspace._role_encodings
+        assert not any(index == 0 for index, _ in workspace._clean_models)
+        assert id(clean_test) not in workspace.dirty_source._eval_cache
+        assert id(clean_test) not in workspace.label_cache
+        assert workspace.memo._entries == {}
+        # the other method and the dirty side are untouched
+        assert 1 in workspace._method_data
+        assert set(workspace._dirty_models) == set(FAST.models)
+
+    def test_reducer_handles_a_method_free_split(self):
+        empty = merge_cell_results(OUTLIERS, FAST.models, 0, [], split=3)
+        assert empty.split == 3
+        assert empty.r1 == empty.r2 == empty.r3 == {}
+        with pytest.raises(ValueError, match="span multiple splits"):
+            merge_cell_results(OUTLIERS, FAST.models, 0, [])
+
+    def test_reducer_rejects_cells_of_another_split(self):
+        run, n_methods = self.build_run()
+        workspace = SplitWorkspace(run, split=0)
         cells = run_block_cells(
             lambda index, model: workspace, run, FAST, n_methods
         )
-        reduced = merge_cell_results(OUTLIERS, FAST.models, n_methods, cells)
-        assert reduced == run.run_split(1)
+        assert merge_cell_results(
+            OUTLIERS, FAST.models, n_methods, cells, split=0
+        ) == merge_cell_results(OUTLIERS, FAST.models, n_methods, cells)
+        with pytest.raises(ValueError, match="span multiple splits"):
+            merge_cell_results(
+                OUTLIERS, FAST.models, n_methods, cells, split=1
+            )
 
     def test_reducer_rejects_incomplete_and_duplicate_cells(self):
         run, n_methods = self.build_run()

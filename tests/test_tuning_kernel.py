@@ -39,7 +39,7 @@ from repro.ml import (
 from repro.ml.base import one_hot
 from repro.ml.knn import _proba_from_distances, _vote, _vote_reference
 from repro.ml.naive_bayes import _ClassStatistics
-from repro.ml.tree import RootSortWorkspace, _ColumnPlan, _gini, _Lockstep
+from repro.ml.tree import _ColumnPlan, _gini, _Lockstep
 from repro.table import FeatureEncoder, LabelEncoder
 from tests.conftest import make_blobs, make_xor
 
@@ -205,15 +205,13 @@ class TestFoldWorkspaces:
             ],
         )
 
-    def test_random_forest_workspace_all_candidates(self):
-        self.assert_workspace_matches_refit(
-            RandomForestClassifier(n_estimators=8, random_state=5),
-            [
-                {"n_estimators": n, "max_depth": d}
-                for n in (4, 8)
-                for d in (3, 8, None)
-            ],
-        )
+    def test_random_forest_has_no_workspace(self):
+        # the lockstep engine sorts nothing per node, so there is no
+        # candidate-invariant work to share; TestSearchParity covers the
+        # forest's fold-major search on the plain shared fold slices
+        fold = self.fold()
+        forest = RandomForestClassifier(n_estimators=8, random_state=5)
+        assert fold.workspace_for(forest) is None
 
     def test_xgboost_workspace_all_candidates(self):
         self.assert_workspace_matches_refit(
@@ -233,13 +231,6 @@ class TestFoldWorkspaces:
             XGBoostClassifier(n_estimators=4, random_state=5),
             [{"subsample": 0.8}, {"subsample": 1.0}],
         )
-
-    def test_unseeded_forest_opts_out_of_shared_orders(self):
-        fold = self.fold()
-        workspace = RootSortWorkspace(fold.X_train, fold.y_train, fold.X_val)
-        model = RandomForestClassifier(n_estimators=3, random_state=None)
-        model.fit(fold.X_train, fold.y_train, root_sort_cache=workspace.root_orders)
-        assert workspace.root_orders == {}
 
     def test_logistic_regression_has_no_workspace(self):
         fold = self.fold()
@@ -792,7 +783,7 @@ class TestColumnPlanKernelPerNode:
             lambda: RandomForestClassifier(
                 n_estimators=6, max_depth=None, max_features=max_features,
                 random_state=9,
-            ).fit(X, y, root_sort_cache={}),
+            ).fit(X, y),
         )
 
     @staticmethod
